@@ -1,16 +1,18 @@
 (* Kernel-plan smoke test, wired into the default test alias.
 
    Runs the qasm_tool `sim` subcommand on a 12-qubit circuit that is wide
-   enough to engage the plan layer (fuse_min_qubits = 10), three ways:
-   planned at --jobs 1, planned at --jobs 4, and with --no-plan (the legacy
-   fusion prepass). Guards:
+   enough to engage the plan layer (fuse_min_qubits = 10) at --jobs 1 and
+   at --jobs 4. Guards:
 
-   1. all three runs print byte-identical stdout — the plan layer and the
-      worker count never change simulation results, not even in the last
-      printed digit;
-   2. the planned run's trace records a nonzero sv.plan.blocks counter —
+   1. both runs print byte-identical stdout — the worker count never
+      changes simulation results, not even in the last printed digit;
+   2. the --jobs 1 run's trace records a nonzero sv.plan.blocks counter —
       the plan layer actually formed fused blocks (the counter is only
-      emitted when blocks > 0, so presence is the check). *)
+      emitted when blocks > 0, so presence is the check);
+   3. session-flag errors: an unwritable --trace-out and out-of-range
+      --jobs / --shard-bits / --deadline each exit 2 with one
+      "qasm_tool: ..." line on stderr, as does an unknown option, and
+      --max-retries 0 is accepted. *)
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("plan smoke: " ^ m); exit 1) fmt
 
@@ -39,15 +41,24 @@ let qasm =
   done;
   Buffer.contents b
 
-let run cli file extra_args ~out =
+(* Run `qasm_tool sim file extra_args` with stdout to [out]; returns the
+   exit status and stderr. *)
+let sim cli file extra_args ~out =
   let argv = Array.of_list ((cli :: [ "sim"; file ]) @ extra_args) in
+  let err = out ^ ".err" in
   let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let pid = Unix.create_process cli argv Unix.stdin out_fd Unix.stderr in
+  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid = Unix.create_process cli argv Unix.stdin out_fd err_fd in
   let _, status = Unix.waitpid [] pid in
   Unix.close out_fd;
-  match status with
-  | Unix.WEXITED 0 -> ()
-  | _ -> die "qasm_tool sim %s exited abnormally" (String.concat " " extra_args)
+  Unix.close err_fd;
+  (status, read_file err)
+
+let run cli file extra_args ~out =
+  match sim cli file extra_args ~out with
+  | Unix.WEXITED 0, _ -> ()
+  | _, err ->
+      die "qasm_tool sim %s exited abnormally (stderr: %s)" (String.concat " " extra_args) err
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -72,17 +83,34 @@ let () =
     [ "--jobs"; "1"; "--trace-out"; tmp "planned.trace" ]
     ~out:(tmp "planned_j1.out");
   run cli qasm_file [ "--jobs"; "4" ] ~out:(tmp "planned_j4.out");
-  run cli qasm_file [ "--jobs"; "1"; "--no-plan" ] ~out:(tmp "legacy.out");
   let j1 = read_file (tmp "planned_j1.out") in
   let j4 = read_file (tmp "planned_j4.out") in
-  let legacy = read_file (tmp "legacy.out") in
   if String.length j1 = 0 then die "planned run printed no probabilities";
   if j1 <> j4 then die "planned output differs between --jobs 1 and --jobs 4";
-  if j1 <> legacy then die "planned and --no-plan outputs differ";
   let trace = read_file (tmp "planned.trace") in
   if not (contains trace "sv.plan.blocks") then
     die "trace records no sv.plan.blocks — the plan layer formed no blocks";
-  Printf.printf "plan smoke: OK (planned = legacy, jobs-invariant, blocks formed)\n";
+  (* a path below a regular file can never be created *)
+  let unwritable = Filename.concat qasm_file "x.json" in
+  List.iter
+    (fun (args, names) ->
+      match sim cli qasm_file args ~out:(tmp "error.out") with
+      | Unix.WEXITED 2, err
+        when String.starts_with ~prefix:"qasm_tool: " err
+             && String.index err '\n' = String.length err - 1
+             && contains err names ->
+          ()
+      | _, err ->
+          die "qasm_tool sim %s: expected exit 2 and one 'qasm_tool: ...' line naming %s, \
+               got stderr %S"
+            (String.concat " " args) names err)
+    [ ([ "--trace-out"; unwritable ], unwritable);
+      ([ "--jobs"; "0" ], "--jobs");
+      ([ "--shard-bits"; "0" ], "--shard-bits");
+      ([ "--deadline"; "0" ], "--deadline");
+      ([ "--bogus" ], "unknown option --bogus") ];
+  run cli qasm_file [ "--max-retries"; "0" ] ~out:(tmp "retries.out");
+  Printf.printf "plan smoke: OK (jobs-invariant, blocks formed, session-flag errors)\n";
   Array.iter
     (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir);

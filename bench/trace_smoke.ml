@@ -1,13 +1,17 @@
 (* Telemetry smoke test, wired into the default test alias.
 
-   Three guards, so the telemetry subsystem can never silently rot or
+   Four guards, so the telemetry subsystem can never silently rot or
    slow the hot path:
 
    1. end-to-end: run hidden_shift_cli with --trace-out and validate the
       JSONL it writes (parses, spans strictly nested, counters present);
-   2. null-sink micro-overhead: with no sink installed, Obs.with_span
+   2. session-flag errors: an unwritable --trace-out and out-of-range
+      --jobs / --shard-bits / --deadline each exit 2 with one
+      "hidden-shift: ..." line on stderr, and --max-retries 0 is
+      accepted;
+   3. null-sink micro-overhead: with no sink installed, Obs.with_span
       must cost no more than a branch (generous per-call ceiling);
-   3. flow overhead: Core.Flow.compile_perm hwb4 with the null sink must
+   4. flow overhead: Core.Flow.compile_perm hwb4 with the null sink must
       not be slower than the same compile with a recording sink (within
       noise) — if it is, the disabled path has grown real work. *)
 
@@ -61,7 +65,60 @@ let check_cli cli =
   if not has_counter then die "trace has no counter events";
   Printf.printf "trace smoke: CLI trace OK (%d events)\n" (List.length events)
 
-(* --- 2. null-sink span overhead --- *)
+(* --- 2. session-flag errors --- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* Run the CLI with [args]; stdout is discarded, stderr returned. *)
+let run_capture cli args =
+  let err = Filename.temp_file "dautoq_trace" ".err" in
+  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid = Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin dev_null err_fd in
+  let _, status = Unix.waitpid [] pid in
+  Unix.close dev_null;
+  Unix.close err_fd;
+  let text = read_file err in
+  Sys.remove err;
+  (status, text)
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let check_cli_errors cli =
+  (* a path below a regular file can never be created *)
+  let file = Filename.temp_file "dautoq_trace" ".file" in
+  let unwritable = Filename.concat file "x.json" in
+  List.iter
+    (fun (args, names) ->
+      let args = [ "ip"; "-n"; "2" ] @ args in
+      match run_capture cli args with
+      | Unix.WEXITED 2, err
+        when String.starts_with ~prefix:"hidden-shift: " err
+             && String.index err '\n' = String.length err - 1
+             && contains ~sub:names err ->
+          ()
+      | _, err ->
+          die "hidden-shift %s: expected exit 2 and one 'hidden-shift: ...' line naming %s, \
+               got stderr %S"
+            (String.concat " " args) names err)
+    [ ([ "--trace-out"; unwritable ], unwritable);
+      ([ "--jobs"; "0" ], "--jobs");
+      ([ "--shard-bits"; "0" ], "--shard-bits");
+      ([ "--deadline"; "0" ], "--deadline") ];
+  Sys.remove file;
+  (match run_capture cli [ "ip"; "-n"; "2"; "--faults"; "flaky"; "--max-retries"; "0" ] with
+  | Unix.WEXITED 0, _ -> ()
+  | _, err -> die "hidden-shift --max-retries 0 was refused: %S" err);
+  print_endline "trace smoke: CLI session-flag errors OK"
+
+(* --- 3. null-sink span overhead --- *)
 
 let check_null_overhead () =
   Obs.set_sink None;
@@ -77,7 +134,7 @@ let check_null_overhead () =
     die "null-sink with_span costs %.0fns/call (> 1000ns ceiling)" (per_call *. 1e9);
   Printf.printf "trace smoke: null-sink span overhead %.0fns/call\n" (per_call *. 1e9)
 
-(* --- 3. compile flow: null sink must not be slower than recording --- *)
+(* --- 4. compile flow: null sink must not be slower than recording --- *)
 
 let time_compile () =
   let hwb4 = Logic.Funcgen.hwb 4 in
@@ -109,7 +166,9 @@ let check_flow_overhead () =
 
 let () =
   (match Array.to_list Sys.argv with
-  | [ _; cli ] -> check_cli cli
+  | [ _; cli ] ->
+      check_cli cli;
+      check_cli_errors cli
   | _ -> die "usage: trace_smoke <hidden_shift_cli.exe>");
   check_null_overhead ();
   check_flow_overhead ()

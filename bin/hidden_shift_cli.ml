@@ -33,8 +33,7 @@ let pi_conv =
         with _ -> Error (`Msg "expected comma-separated permutation, e.g. 0,2,3,5,7,1,4,6")),
       fun ppf p -> Logic.Perm.pp ppf p )
 
-let run instance ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~faults
-    ~max_retries ~deadline =
+let run session instance ~noisy ~shots ~runs ~draw ~qasm ~passes ~target =
   let circuit = Core.Hidden_shift.build instance in
   let circuit =
     match passes with
@@ -53,19 +52,11 @@ let run instance ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~faults
     (Qc.Circuit.num_qubits circuit) (Qc.Circuit.num_gates circuit);
   if draw then print_string (Qc.Draw.to_string circuit);
   if qasm then print_string (Qc.Qasm.to_string circuit);
-  match faults with
-  | Some spec ->
-      (* resilient-device path: the fault profile wraps the execution
-         target (default a noisy backend with a statevector fallback) *)
-      let profile = Device.profile_of_spec spec in
-      let policy =
-        { Device.default_policy with
-          Device.max_retries; deadline = max 1 deadline }
-      in
-      let target_spec =
-        Option.value target ~default:(Printf.sprintf "noisy:shots=%d" shots)
-      in
-      let device = Device.of_spec ~policy ~profile target_spec in
+  (* with --faults the fault profile wraps the execution target (default
+     a noisy backend with a statevector fallback) in the resilient device *)
+  let target_spec = Option.value target ~default:(Printf.sprintf "noisy:shots=%d" shots) in
+  match Session.device session target_spec with
+  | Some device ->
       let job = Device.submit ~shots device circuit in
       print_endline (Qc.Backend.outcome_to_string (Device.outcome_of_job job));
       print_endline (Device.job_summary job);
@@ -98,55 +89,6 @@ let run instance ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~faults
       (if found = Core.Hidden_shift.shift instance then "" else "  (MISMATCH!)")
   end
 
-(* With --trace-out the whole run records into a memory sink; the file
-   format is inferred from the extension (.jsonl event log, .json Chrome
-   trace loadable in Perfetto, anything else a human table). With --cache
-   DIR the compilation cache persists into DIR and a hit/miss summary goes
-   to stderr; --no-cache disables memoization entirely. *)
-let with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~trace_out body =
-  Option.iter Par.set_default_jobs jobs;
-  Qc.Statevector.set_shard_bits shard_bits;
-  if no_plan then Qc.Statevector.set_plan_enabled false;
-  if no_cache then Cache.set_enabled false;
-  if not no_cache then Option.iter (fun d -> Cache.set_dir (Some d)) cache_dir;
-  let recorder = Option.map (fun _ -> Obs.Memory.create ()) trace_out in
-  Option.iter (fun m -> Obs.set_sink (Some (Obs.Memory.sink m))) recorder;
-  let finish () =
-    Obs.set_sink None;
-    (match (trace_out, recorder) with
-    | Some file, Some m ->
-        Obs.Export.write_file file (Obs.Memory.events m);
-        Printf.eprintf "wrote %d telemetry events to %s\n" (Obs.Memory.length m) file
-    | _ -> ());
-    if cache_dir <> None && not no_cache then
-      Printf.eprintf "%s\n" (Cache.summary_string ())
-  in
-  match body () with
-  | () -> finish ()
-  | exception
-      ( Core.Pass.Spec_error msg
-      | Qc.Backend.Unsupported msg
-      | Qc.Statevector.Unsupported msg
-      | Device.Bad_profile msg
-      | Serve.Bad_tenant msg
-      | Invalid_argument msg ) ->
-      (* operational errors exit with a one-line message, never a backtrace *)
-      finish ();
-      Printf.eprintf "hidden-shift: %s\n" msg;
-      exit 2
-  | exception Rev.Pebble.Infeasible { budget; required } ->
-      finish ();
-      Printf.eprintf
-        "hidden-shift: ancilla budget %d is infeasible for this oracle (needs >= %d)\n"
-        budget required;
-      exit 2
-
-let run instance ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~noisy ~shots ~runs
-    ~draw ~qasm ~passes ~target ~trace_out ~faults ~max_retries ~deadline =
-  with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~trace_out (fun () ->
-      run instance ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~faults
-        ~max_retries ~deadline)
-
 (* common flags *)
 let noisy = Arg.(value & flag & info [ "noisy" ] ~doc:"Run on the noisy (IBM-like) backend.")
 let shots = Arg.(value & opt int 1024 & info [ "shots" ] ~doc:"Shots per run (noisy mode).")
@@ -154,56 +96,6 @@ let runs = Arg.(value & opt int 3 & info [ "runs" ] ~doc:"Number of runs (noisy 
 let draw = Arg.(value & flag & info [ "draw" ] ~doc:"Print an ASCII drawing of the circuit.")
 let qasm = Arg.(value & flag & info [ "qasm" ] ~doc:"Print the circuit as OpenQASM 2.0.")
 let shift_arg = Arg.(value & opt int 1 & info [ "shift"; "s" ] ~doc:"The planted hidden shift.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ]
-        ~doc:
-          "Worker domains for parallel execution (noisy shots and large \
-           statevector kernels). Defaults to the machine's recommended domain \
-           count. Results are bit-identical for any value."
-        ~docv:"N")
-
-let shard_bits_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shard-bits" ]
-        ~doc:
-          "Force the sharded statevector's slab size to 2^$(docv) amplitudes \
-           (default: chosen automatically from the qubit count and the pool \
-           width). Results are bit-identical for any value."
-        ~docv:"S")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ]
-        ~doc:
-          "Persist the compilation cache (NPN-indexed synthesis results, \
-           Clifford+T lowering results) in $(docv); warm runs reuse them and a \
-           hit/miss summary is printed to stderr. Results are bit-identical \
-           with or without the cache."
-        ~docv:"DIR")
-
-let no_cache_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-cache" ]
-        ~doc:"Disable the in-memory compilation cache (identical results; only timing changes).")
-
-let no_plan_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-plan" ]
-        ~doc:
-          "Disable the statevector kernel-plan layer and fall back to the \
-           legacy gate-fusion prepass (identical results; only timing changes).")
 
 let passes_arg =
   Arg.(
@@ -219,62 +111,25 @@ let target_arg =
     & info [ "target" ]
         ~doc:"Hand the circuit to a unified backend: statevector | stabilizer | noisy[:shots=N] | qasm | qsharp[:Name] | draw.")
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ]
-        ~doc:
-          "Record cross-layer telemetry and write it to $(docv); format by \
-           extension: .jsonl event log, .json Chrome trace (Perfetto), else a \
-           human-readable table."
-        ~docv:"FILE")
+let prog = "hidden-shift"
 
-let faults_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ]
-        ~doc:
-          "Execute through the resilient device layer under the named fault \
-           profile: none | flaky | hostile, optionally refined with \
-           comma-separated key=value overrides (submit=, stuck=, loss=, \
-           corrupt=, drift=, seed=, outage=LEN\\@START|off). Injected faults \
-           are deterministic in (seed, attempt) and independent of --jobs."
-        ~docv:"PROFILE")
-
-let max_retries_arg =
-  Arg.(
-    value
-    & opt int Device.default_policy.Device.max_retries
-    & info [ "max-retries" ]
-        ~doc:"Retry budget per shot batch under --faults (capped exponential backoff)."
-        ~docv:"N")
-
-let deadline_arg =
-  Arg.(
-    value
-    & opt int Device.default_policy.Device.deadline
-    & info [ "deadline" ]
-        ~doc:
-          "Total attempt budget per submission under --faults; when exhausted \
-           the job degrades to whatever was salvaged instead of raising."
-        ~docv:"ATTEMPTS")
+(* An instance subcommand: [instance] builds the instance once the
+   session is up; the run options and the session flags are shared. *)
+let instance_term instance =
+  let go instance session noisy shots runs draw qasm passes target =
+    Session.run ~prog session (fun s ->
+        run s (instance ()) ~noisy ~shots ~runs ~draw ~qasm ~passes ~target)
+  in
+  Term.(
+    const go $ instance $ Session.term () $ noisy $ shots $ runs $ draw $ qasm
+    $ passes_arg $ target_arg)
 
 let ip_cmd =
   let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Half the qubit count (f is on 2n qubits).") in
-  let go n s jobs shard_bits cache_dir no_cache no_plan noisy shots runs draw qasm
-      passes target trace_out faults max_retries deadline =
-    run (Core.Hidden_shift.Inner_product { n; s }) ~jobs ~shard_bits ~cache_dir
-      ~no_cache ~no_plan ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~trace_out
-      ~faults ~max_retries ~deadline
-  in
+  let instance n s () = Core.Hidden_shift.Inner_product { n; s } in
   Cmd.v
     (Cmd.info "ip" ~doc:"Inner-product instance (the paper's Fig. 4).")
-    Term.(
-      const go $ n $ shift_arg $ jobs_arg $ shard_bits_arg $ cache_dir_arg
-      $ no_cache_arg $ no_plan_arg $ noisy $ shots $ runs $ draw $ qasm $ passes_arg
-      $ target_arg $ trace_out_arg $ faults_arg $ max_retries_arg $ deadline_arg)
+    (instance_term Term.(const instance $ n $ shift_arg))
 
 let mm_cmd =
   let pi =
@@ -284,37 +139,23 @@ let mm_cmd =
       & info [ "pi" ] ~doc:"Permutation as comma-separated points, e.g. 0,2,3,5,7,1,4,6.")
   in
   let synth = Arg.(value & opt synth_conv Pq.Oracles.Tbs & info [ "synth" ] ~doc:"tbs | tbs-basic | dbs.") in
-  let go pi s synth jobs shard_bits cache_dir no_cache no_plan noisy shots runs draw
-      qasm passes target trace_out faults max_retries deadline =
-    let mm = Logic.Bent.mm pi in
-    run (Core.Hidden_shift.Mm { mm; s; synth }) ~jobs ~shard_bits ~cache_dir
-      ~no_cache ~no_plan ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~trace_out
-      ~faults ~max_retries ~deadline
-  in
+  let instance pi s synth () = Core.Hidden_shift.Mm { mm = Logic.Bent.mm pi; s; synth } in
   Cmd.v
     (Cmd.info "mm" ~doc:"Maiorana-McFarland instance (the paper's Fig. 7).")
-    Term.(
-      const go $ pi $ shift_arg $ synth $ jobs_arg $ shard_bits_arg $ cache_dir_arg
-      $ no_cache_arg $ no_plan_arg $ noisy $ shots $ runs $ draw $ qasm $ passes_arg
-      $ target_arg $ trace_out_arg $ faults_arg $ max_retries_arg $ deadline_arg)
+    (instance_term Term.(const instance $ pi $ shift_arg $ synth))
 
 let random_cmd =
   let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Half register size (2n qubits).") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let go n seed jobs shard_bits cache_dir no_cache no_plan noisy shots runs draw qasm
-      passes target trace_out faults max_retries deadline =
+  let instance n seed () =
     let st = Random.State.make [| seed |] in
     let inst = Core.Hidden_shift.random_mm_instance st n in
     Printf.printf "random MM instance, planted shift %d\n" (Core.Hidden_shift.shift inst);
-    run inst ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~noisy ~shots ~runs
-      ~draw ~qasm ~passes ~target ~trace_out ~faults ~max_retries ~deadline
+    inst
   in
   Cmd.v
     (Cmd.info "random" ~doc:"Random Maiorana-McFarland instance.")
-    Term.(
-      const go $ n $ seed $ jobs_arg $ shard_bits_arg $ cache_dir_arg $ no_cache_arg
-      $ no_plan_arg $ noisy $ shots $ runs $ draw $ qasm $ passes_arg $ target_arg
-      $ trace_out_arg $ faults_arg $ max_retries_arg $ deadline_arg)
+    (instance_term Term.(const instance $ n $ seed))
 
 (* --- the XAG oracle pipeline (wide arithmetic predicates) --- *)
 
@@ -351,7 +192,7 @@ let ancilla_budget_arg =
            it every LUT keeps its own ancilla."
         ~docv:"B")
 
-let run_oracle ~spec ~lut_k ~ancilla_budget ~draw ~qasm ~target () =
+let run_oracle ~spec ~lut_k ~ancilla_budget ~draw ~qasm ~target =
   let g = Core.Flow.xag_of_spec spec in
   Printf.printf "oracle %s: %d inputs, %d outputs, %d nodes (%d AND)\n" spec
     (Rev.Xag.num_inputs g)
@@ -388,10 +229,9 @@ let run_oracle ~spec ~lut_k ~ancilla_budget ~draw ~qasm ~target () =
       print_endline (Qc.Backend.outcome_to_string (backend.Qc.Backend.run circuit))
 
 let oracle_cmd =
-  let go spec lut_k ancilla_budget jobs shard_bits cache_dir no_cache no_plan draw
-      qasm target trace_out =
-    with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~trace_out
-      (run_oracle ~spec ~lut_k ~ancilla_budget ~draw ~qasm ~target)
+  let go spec lut_k ancilla_budget session draw qasm target =
+    Session.run ~prog session (fun _ ->
+        run_oracle ~spec ~lut_k ~ancilla_budget ~draw ~qasm ~target)
   in
   Cmd.v
     (Cmd.info "oracle"
@@ -400,9 +240,8 @@ let oracle_cmd =
           (structural graph, cut-based k-LUT covering, optional pebbled \
           ancilla schedule).")
     Term.(
-      const go $ oracle_xag_arg $ lut_k_arg $ ancilla_budget_arg $ jobs_arg
-      $ shard_bits_arg $ cache_dir_arg $ no_cache_arg $ no_plan_arg $ draw $ qasm
-      $ target_arg $ trace_out_arg)
+      const go $ oracle_xag_arg $ lut_k_arg $ ancilla_budget_arg
+      $ Session.term ~device:false () $ draw $ qasm $ target_arg)
 
 let () =
   let doc = "Boolean hidden shift on the automatic quantum compilation flow." in

@@ -41,73 +41,6 @@ let parse_file file =
     Printf.eprintf "parse error: %s\n" msg;
     exit 1
 
-(* [--trace-out FILE] (anywhere on the command line) records cross-layer
-   telemetry for the whole invocation and writes it to FILE at exit;
-   format by extension (.jsonl | .json Chrome trace | table). *)
-let extract_trace_out argv =
-  let rec scan acc = function
-    | "--trace-out" :: file :: rest -> (Some file, List.rev_append acc rest)
-    | a :: rest -> scan (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  scan [] argv
-
-(* [--jobs N] (anywhere on the command line) pins the worker-domain count
-   used by the noisy backend and the large statevector kernels. *)
-let extract_jobs argv =
-  let rec scan acc = function
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 -> (Some j, List.rev_append acc rest)
-        | _ ->
-            Printf.eprintf "--jobs: expected a positive integer, got %s\n" n;
-            exit 2)
-    | a :: rest -> scan (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  scan [] argv
-
-(* [--shard-bits S] (anywhere on the command line) forces the sharded
-   statevector's slab size to 2^S amplitudes; without it the slab size
-   is chosen automatically from the qubit count and the pool width.
-   Results are bit-identical either way — the flag exists for tuning
-   and for exercising the cross-slab kernels. *)
-let extract_shard_bits argv =
-  let rec scan acc = function
-    | "--shard-bits" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some s when s >= 1 -> (Some s, List.rev_append acc rest)
-        | _ ->
-            Printf.eprintf "--shard-bits: expected a positive integer, got %s\n" n;
-            exit 2)
-    | a :: rest -> scan (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  scan [] argv
-
-(* [--no-plan] (anywhere on the command line) disables the statevector
-   kernel-plan layer and falls back to the legacy fusion prepass —
-   the escape hatch for comparing or bisecting plan execution. *)
-let extract_no_plan argv =
-  let rec scan off acc = function
-    | "--no-plan" :: rest -> scan true acc rest
-    | a :: rest -> scan off (a :: acc) rest
-    | [] -> (off, List.rev acc)
-  in
-  scan false [] argv
-
-(* [--cache DIR] persists the compilation cache (pass results reused by the
-   passes subcommand) in DIR and reports hits/misses on stderr at exit;
-   [--no-cache] disables the in-memory cache. *)
-let extract_cache argv =
-  let rec scan dir off acc = function
-    | "--cache" :: d :: rest -> scan (Some d) off acc rest
-    | "--no-cache" :: rest -> scan dir true acc rest
-    | a :: rest -> scan dir off (a :: acc) rest
-    | [] -> (dir, off, List.rev acc)
-  in
-  scan None false [] argv
-
 (* [--oracle-xag SPEC] (anywhere on the command line) replaces the QASM
    file argument: the circuit is generated by compiling the named
    arithmetic oracle through the XAG pipeline (see Core.Flow.xag_of_spec),
@@ -128,25 +61,6 @@ let extract_oracle argv =
     | [] -> (spec, k, budget, List.rev acc)
   in
   scan None 4 None [] argv
-
-(* [--faults PROFILE], [--max-retries N] and [--deadline N] route the run
-   subcommand through the resilient device layer. *)
-let extract_device argv =
-  let pos n =
-    match int_of_string_opt n with
-    | Some v when v >= 1 -> v
-    | _ ->
-        Printf.eprintf "expected a positive integer, got %s\n" n;
-        exit 2
-  in
-  let rec scan faults retries deadline acc = function
-    | "--faults" :: p :: rest -> scan (Some p) retries deadline acc rest
-    | "--max-retries" :: n :: rest -> scan faults (Some (pos n)) deadline acc rest
-    | "--deadline" :: n :: rest -> scan faults retries (Some (pos n)) acc rest
-    | a :: rest -> scan faults retries deadline (a :: acc) rest
-    | [] -> (faults, retries, deadline, List.rev acc)
-  in
-  scan None None None [] argv
 
 (* The workload-corpus front end:
 
@@ -238,7 +152,7 @@ let corpus_main rest =
    across --jobs for a fixed seed; wall-clock throughput goes to stderr.
    The global --faults PROFILE wraps noisy execution in a resilient
    device with injected faults. *)
-let serve_main ~faults rest =
+let serve_main session rest =
   let usage () =
     prerr_endline
       "usage: qasm_tool serve tenants <spec>\n\
@@ -291,10 +205,7 @@ let serve_main ~faults rest =
         | _ -> usage ()
       in
       scan args;
-      let t =
-        { !t with
-          Serve.Load.faults = Option.map Device.profile_of_spec faults }
-      in
+      let t = { !t with Serve.Load.faults = session.Session.profile } in
       print_endline (Serve.Load.describe t);
       let s = Serve.Load.run t in
       List.iter print_endline (Serve.summary_lines s);
@@ -303,16 +214,12 @@ let serve_main ~faults rest =
       Printf.eprintf "wall %.1fms, %.0f jobs/sec\n" (get "wall_ms") (get "jobs_per_sec")
   | _ -> usage ()
 
+let prog = "qasm_tool"
+
 let main () =
-  let trace_out, argv = extract_trace_out (Array.to_list Sys.argv) in
-  let jobs, argv = extract_jobs argv in
-  let shard_bits, argv = extract_shard_bits argv in
-  Qc.Statevector.set_shard_bits shard_bits;
-  let no_plan, argv = extract_no_plan argv in
-  if no_plan then Qc.Statevector.set_plan_enabled false;
-  let cache_dir, no_cache, argv = extract_cache argv in
+  let flags, argv = Session.scan (Array.to_list Sys.argv) in
   let oracle_spec, lut_k, ancilla_budget, argv = extract_oracle argv in
-  let faults, max_retries, deadline, argv = extract_device argv in
+  let session = Session.start ~prog flags in
   (* with an oracle the file argument disappears: every subcommand operates
      on the compiled oracle circuit instead *)
   let oracle_sentinel = "--oracle--" in
@@ -331,44 +238,17 @@ let main () =
     end
     else parse_file file
   in
-  Option.iter Par.set_default_jobs jobs;
-  if no_cache then Cache.set_enabled false
-  else
-    Option.iter
-      (fun d ->
-        Cache.set_dir (Some d);
-        at_exit (fun () -> Printf.eprintf "%s\n" (Cache.summary_string ())))
-      cache_dir;
-  (match trace_out with
-  | None -> ()
-  | Some file ->
-      let m = Obs.Memory.create () in
-      Obs.set_sink (Some (Obs.Memory.sink m));
-      at_exit (fun () ->
-          Obs.set_sink None;
-          Obs.Export.write_file file (Obs.Memory.events m);
-          Printf.eprintf "wrote %d telemetry events to %s\n" (Obs.Memory.length m) file));
   match argv with
   | _ :: "corpus" :: rest -> corpus_main rest
-  | _ :: "serve" :: rest -> serve_main ~faults rest
+  | _ :: "serve" :: rest -> serve_main session rest
   | [ _; "passes"; spec; file ] ->
       let ps = Core.Pass.parse_qc spec in
       let circuit, trace = Core.Pass.run_qc ps (circuit_of file) in
       Printf.eprintf "%s\n" (Core.Pass.trace_to_string trace);
       print_string (Qc.Qasm.to_string ~measure:false circuit)
   | [ _; "run"; target; file ] -> (
-      match faults with
-      | Some spec ->
-          let profile = Device.profile_of_spec spec in
-          let policy =
-            { Device.default_policy with
-              Device.max_retries =
-                Option.value max_retries
-                  ~default:Device.default_policy.Device.max_retries;
-              deadline =
-                Option.value deadline ~default:Device.default_policy.Device.deadline }
-          in
-          let device = Device.of_spec ~policy ~profile target in
+      match Session.device session target with
+      | Some device ->
           let job = Device.submit device (circuit_of file) in
           print_endline (Qc.Backend.outcome_to_string (Device.outcome_of_job job));
           print_endline (Device.job_summary job)
@@ -416,6 +296,10 @@ let main () =
       | other ->
           Printf.eprintf "unknown command %s\n" other;
           exit 2)
+  | _ when List.exists (String.starts_with ~prefix:"--") argv ->
+      Printf.eprintf "%s: unknown option %s\n" prog
+        (List.find (String.starts_with ~prefix:"--") argv);
+      exit 2
   | _ ->
       prerr_endline
         "usage: qasm_tool {stats|draw|sim|stabsim|route|tpar|qsharp} <file.qasm|->\n\
@@ -423,33 +307,11 @@ let main () =
         \       qasm_tool run <target> <file.qasm|->\n\
         \       qasm_tool serve {tenants <spec> | load [--requests <n>] …}\n\
         \       (any form also accepts --trace-out <file>, --jobs <n>,\n\
-        \        --shard-bits <s>, --no-plan, --cache <dir> and --no-cache;\n\
-        \        run also accepts --faults\n\
-        \        <profile>, --max-retries <n> and --deadline <n>;\n\
+        \        --shard-bits <s>, --cache <dir> and --no-cache;\n\
+        \        run and serve load also accept --faults <profile>,\n\
+        \        --max-retries <n> and --deadline <n>;\n\
         \        --oracle-xag <spec> [--lut-k <k>] [--ancilla-budget <b>]\n\
         \        replaces the file argument with a compiled XAG oracle)";
       exit 2
 
-(* Operational errors (bad backend spec, bad pass spec, bad fault profile,
-   bad oracle spec, infeasible ancilla budget) exit with a one-line message
-   instead of an uncaught-exception backtrace. *)
-let () =
-  try main () with
-  | Qc.Backend.Unsupported msg
-  | Qc.Statevector.Unsupported msg
-  | Core.Pass.Spec_error msg
-  | Device.Bad_profile msg
-  | Serve.Bad_tenant msg
-  | Corpus.Bad_spec msg
-  | Corpus.Bad_snapshot msg
-  | Corpus.Diff.Bad_threshold msg
-  | Obs.Json.Parse_error msg
-  | Sys_error msg
-  | Invalid_argument msg ->
-      Printf.eprintf "qasm_tool: %s\n" msg;
-      exit 2
-  | Rev.Pebble.Infeasible { budget; required } ->
-      Printf.eprintf
-        "qasm_tool: ancilla budget %d is infeasible for this oracle (needs >= %d)\n"
-        budget required;
-      exit 2
+let () = Session.guard ~prog main

@@ -419,9 +419,7 @@ let exec_cmd st words =
                 (Par.recommended ());
               st
           | Some v ->
-              let n = int_arg "jobs" (Some v) in
-              if n < 1 then failf "jobs: expected a positive worker count, got %d" n;
-              Par.set_default_jobs n;
+              Par.set_default_jobs (int_arg "jobs" (Some v));
               say st "jobs set to %d" (Par.default_jobs ());
               st)
       | "cache" -> (

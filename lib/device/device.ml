@@ -14,12 +14,11 @@
 
     Determinism contract: every fault decision is a pure function of
     [(profile.fault_seed, absolute attempt index, decision salt)] through
-    the same splitmix64 finalizer the noisy backend uses for per-shot
-    seeding, and each batch's simulation seed derives from
-    [(job seed, batch index)]. Nothing depends on wall-clock time,
-    scheduling or [--jobs]; a job replays bit-identically from its
-    seeds. Backoff delays are computed and recorded (the
-    [device.backoff.us] histogram), never slept.
+    {!Qc.Rng.uniform}, and each batch's simulation seed derives from
+    [(job seed, batch index)] through {!Qc.Rng.derive}. Nothing depends
+    on wall-clock time, scheduling or [--jobs]; a job replays
+    bit-identically from its seeds. Backoff delays are computed and
+    recorded (the [device.backoff.us] histogram), never slept.
 
     Telemetry: [device.retry], [device.submit.fail], [device.timeout],
     [device.invalid], [device.shots.lost], [device.fallback],
@@ -36,6 +35,7 @@
 module Backend = Qc.Backend
 module Circuit = Qc.Circuit
 module Noise = Qc.Noise
+module Rng = Qc.Rng
 
 exception Bad_profile of string
 (** The fault-profile spec is malformed; the message names the token. *)
@@ -156,20 +156,12 @@ let pp_profile ppf p =
 (* The deterministic fault stream                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Counter-based uniform draw in [0,1): splitmix64 of (fault seed,
-   absolute attempt, per-decision salt). No mutable PRNG state anywhere
-   in the fault path — the failure sequence is a pure function of
-   (seed, attempt), independent of --jobs and of how many submits ran
+(* Counter-based uniform draw in [0,1) ({!Qc.Rng.uniform}) of (fault
+   seed, absolute attempt, per-decision salt). No mutable PRNG state
+   anywhere in the fault path — the failure sequence is a pure function
+   of (seed, attempt), independent of --jobs and of how many submits ran
    before (each submit advances the shared attempt counter). *)
-let roll p ~attempt ~salt =
-  let open Int64 in
-  let x =
-    add
-      (mul (of_int (p.fault_seed lxor (salt * 0x01000193))) Noise.golden)
-      (of_int attempt)
-  in
-  let z = Noise.splitmix64 (add (Noise.splitmix64 x) (of_int (salt + 1))) in
-  Int64.to_float (shift_right_logical z 11) /. 9007199254740992. (* / 2^53 *)
+let roll p ~attempt ~salt = Rng.uniform ~seed:p.fault_seed ~i:attempt ~salt
 
 let in_outage p a =
   match p.outage with
@@ -676,14 +668,7 @@ let submit ?shots ?seed ?budget_us (d : t) circuit =
     if bshots > 0 then begin
       (* the batch's simulation seed derives from (job seed, batch) — a
          replayed batch reproduces its shots exactly *)
-      let bseed =
-        Int64.to_int
-          (Noise.splitmix64
-             (Int64.add
-                (Int64.mul (Int64.of_int seed) Noise.golden)
-                (Int64.of_int (b + 1))))
-        land max_int
-      in
+      let bseed = Rng.derive ~seed b in
       match attempt_batch ~batch:b ~bseed ~bshots ~retry:0 with
       | None -> () (* undelivered: the job comes up short *)
       | Some (h, backend) ->

@@ -292,9 +292,11 @@ let global () =
 
 (** [set_default_jobs n] pins the process-wide worker count (the [--jobs]
     flag and the shell's [jobs] command land here) and recycles the
-    global pool so the new width takes effect. *)
+    global pool so the new width takes effect.
+    @raise Invalid_argument when [n < 1]. *)
 let set_default_jobs n =
-  default_jobs_ref := max 1 n;
+  if n < 1 then invalid_arg (Printf.sprintf "expected an integer >= 1, got %d" n);
+  default_jobs_ref := n;
   shutdown_global ()
 
 (** [with_pool ~jobs f] hands [f] a pool of at least width [jobs]: the

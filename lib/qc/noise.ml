@@ -12,8 +12,8 @@
 
     Shots are embarrassingly parallel, and {!run_shots} fans them out
     over the {!Par} domain pool. Determinism is by construction: shot
-    [i]'s PRNG state derives from [(seed, i)] through a splitmix64-style
-    hash (never from how shots are scheduled), per-domain histograms
+    [i]'s PRNG state derives from [(seed, i)] through {!Rng.shot_state}
+    (never from how shots are scheduled), per-domain histograms
     merge by integer addition, and telemetry accumulates per domain and
     flushes once from the caller — so any [jobs] count is bit-identical
     to the [~jobs:1] reference. *)
@@ -110,30 +110,6 @@ let counts_equal a b =
 let counts_merge dst src =
   iter_counts (fun x k -> counts_add dst x k) src;
   dst
-
-(* ------------------------------------------------------------------ *)
-(* Counter-based per-shot seeding                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* splitmix64 finalizer: the standard 64-bit avalanche (Steele et al.),
-   here used to turn (seed, shot index) into an independent PRNG seed per
-   shot. Counter-based seeding is what makes parallel shots
-   deterministic: shot i's stream never depends on which domain runs it
-   or on how many shots ran before it. *)
-let splitmix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let golden = 0x9E3779B97F4A7C15L
-
-let shot_state ~seed shot =
-  let open Int64 in
-  let x = add (mul (of_int seed) golden) (of_int shot) in
-  let a = splitmix64 x in
-  let b = splitmix64 (add x golden) in
-  Random.State.make [| to_int a; to_int b; seed; shot |]
 
 (* ------------------------------------------------------------------ *)
 (* Single shots                                                        *)
@@ -242,7 +218,7 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
       let smp = sampler_for circuit in
       let c = counts_make n in
       for shot = 0 to shots - 1 do
-        let st = shot_state ~seed shot in
+        let st = Rng.shot_state ~seed shot in
         let x = Statevector.sample_with smp st in
         let x = ref x in
         for q = 0 to n - 1 do
@@ -255,7 +231,7 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
     else if jobs = 1 then begin
       let c = counts_make n in
       for shot = 0 to shots - 1 do
-        let x, e = run_shot_raw (shot_state ~seed shot) params circuit in
+        let x, e = run_shot_raw (Rng.shot_state ~seed shot) params circuit in
         counts_add c x 1;
         errors.(shot) <- e
       done;
@@ -271,7 +247,7 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
               let lo = shots * i / jobs and hi = shots * (i + 1) / jobs in
               let local = counts_make n in
               for shot = lo to hi - 1 do
-                let x, e = run_shot_raw (shot_state ~seed shot) params circuit in
+                let x, e = run_shot_raw (Rng.shot_state ~seed shot) params circuit in
                 counts_add local x 1;
                 errors.(shot) <- e
               done;

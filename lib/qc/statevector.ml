@@ -10,7 +10,7 @@
       the global-index accessors;
     - {!Sv_kernels} — per-gate kernels (flat fast paths and their
       sharded counterparts), deterministic slab-ordered reductions, and
-      the legacy gate-fusion prepass ([--no-plan]);
+      the diagonal-sweep primitive the plans use;
     - {!Sv_plan} (exposed as {!Plan}) — compile-once execution plans:
       block fusion, the commuting-block peepholes, and sharded replay
       with slab-local / cross-slab kernel classification.
@@ -31,16 +31,6 @@ include Sv_kernels
 module Plan = Sv_plan
 
 (* --- plan cache and execution entry points --- *)
-
-let plan_enabled_flag = ref true
-
-(** [set_plan_enabled b] — the CLIs' [--no-plan] escape hatch. With
-    planning off, {!run}/{!run_on} fall back to the legacy fusion
-    prepass (1q-run and diagonal-run coalescing, gate-by-gate kernels).
-    [~fuse:false] remains the fully unfused reference path. *)
-let set_plan_enabled b = plan_enabled_flag := b
-
-let plan_enabled () = !plan_enabled_flag
 
 (* Plans are pure functions of the circuit, cached by structural key so
    multi-shot sampling, runs_statistics and device retries build once
@@ -130,43 +120,29 @@ let plan_of_circuit circuit =
       Mutex.unlock plan_mutex;
       p
 
-(* Shared by run/run_on: plan replay (default), the legacy fusion
-   prepass (--no-plan), the unfused reference (~fuse:false), and the
-   telemetry both entry points must emit — [run_on] used to bypass it,
-   under-counting qc.statevector.gates_applied for engine-driven
-   simulation. *)
+(* Shared by run/run_on: plan replay at ≥ {!fuse_min_qubits} qubits,
+   otherwise gate-by-gate kernels — the same path [~fuse:false] forces
+   at any width, which makes it the unfused reference. Both entry points
+   emit the same telemetry ([run_on] used to bypass it, under-counting
+   qc.statevector.gates_applied for engine-driven simulation). *)
 let exec ~fuse s circuit =
-  let fuse = fuse && s.n >= fuse_min_qubits in
-  if fuse && !plan_enabled_flag then begin
+  if fuse && s.n >= fuse_min_qubits then begin
     let p = plan_of_circuit circuit in
     Plan.execute p s;
     if Obs.enabled () then
       Obs.count ~by:(Array.length p.Plan.ops) "qc.statevector.fused_ops"
   end
-  else begin
-    let gates = if fuse then Circuit.to_array circuit else [||] in
-    if fuse && has_fusable gates then begin
-      let ops = fuse_gates gates in
-      List.iter (apply_op s) ops;
-      if Obs.enabled () then
-        Obs.count ~by:(List.length ops) "qc.statevector.fused_ops"
-    end
-    else begin
-      Circuit.iter (apply s) circuit;
-      if fuse && Obs.enabled () then
-        (* nothing fusable: op count = gate count *)
-        Obs.count ~by:(Circuit.num_gates circuit) "qc.statevector.fused_ops"
-    end
-  end;
+  else Circuit.iter (apply s) circuit;
   if Obs.enabled () then begin
     Obs.count ~by:(Circuit.num_gates circuit) "qc.statevector.gates_applied";
     Obs.add_attrs [ ("qubits", Obs.Int s.n) ]
   end
 
 (** [run ?fuse circuit] simulates [circuit] from |0…0⟩. [fuse] (default
-    true) runs the gate-fusion prepass on states of ≥ {!fuse_min_qubits}
-    qubits; the result is equal up to float rounding (≤ 1e-12 per
-    amplitude in practice). *)
+    true) replays the circuit's cached kernel plan on states of
+    ≥ {!fuse_min_qubits} qubits; [~fuse:false] applies the gates one by
+    one (the reference path). The two agree up to float rounding
+    (≤ 1e-12 per amplitude in practice). *)
 let run ?(fuse = true) circuit =
   Obs.with_span "qc.statevector.run" @@ fun () ->
   let s = init (Circuit.num_qubits circuit) in
@@ -174,7 +150,8 @@ let run ?(fuse = true) circuit =
   s
 
 (** [run_on ?fuse s circuit] applies [circuit] to an existing state in
-    place, with the same span and counters as {!run}. *)
+    place, on the same two paths and with the same span and counters as
+    {!run}. *)
 let run_on ?(fuse = true) s circuit =
   if Circuit.num_qubits circuit <> s.n then invalid_arg "Statevector.run_on";
   Obs.with_span "qc.statevector.run" @@ fun () -> exec ~fuse s circuit

@@ -1,5 +1,5 @@
-(** Gate kernels, reductions and the fusion prepass over the sharded
-    state ({!Sv_shard}).
+(** Gate kernels, reductions and the diagonal-sweep primitive the plan
+    layer ({!Sv_plan}) builds on, over the sharded state ({!Sv_shard}).
 
     Every primitive has two shapes with {e identical per-amplitude float
     arithmetic}: a flat fast path on single-slab states (the exact PR 8
@@ -17,11 +17,11 @@ include Sv_shard
    256 kB, roughly where one pass stops fitting in L2. *)
 let par_threshold = 1 lsl 14
 
-(* Below this many qubits the fusion prepass costs more than it saves:
-   kernel passes over ≤ 2^9 amplitudes are already sub-µs, so the
-   prepass's gate-array copy and op-list allocations dominate. The
-   prepass itself is size-independent, so tests drive it directly via
-   {!fuse_gates}/{!apply_op} on small circuits. *)
+(* Below this many qubits planning costs more than it saves: kernel
+   passes over ≤ 2^9 amplitudes are already sub-µs, so the plan build
+   dominates and [Statevector.exec] applies gates one by one. Planning
+   itself is size-independent, so tests drive {!Sv_plan} directly on
+   small circuits. *)
 let fuse_min_qubits = 10
 
 (* Run [f slab] for every slab, over the pool when the state is big
@@ -229,7 +229,6 @@ let apply_swap s a b =
         seg_swap2_g s ab bb lo hi)
 
 let c0 = Complex.zero
-let c1 = Complex.one
 let ci = Complex.i
 let cm1 = Complex.{ re = -1.; im = 0. }
 let cmi = Complex.{ re = 0.; im = -1. }
@@ -352,36 +351,7 @@ let prob_of_qubit s q =
     reduce_sum (size s) (seg_sum2_bit s.sl_re.(0) s.sl_im.(0) (1 lsl q))
   else reduce_sum (size s) (seg_sum2_bit_sh s (1 lsl q))
 
-(* --- gate fusion prepass --- *)
-
-(* A 2×2 unitary, row-major. *)
-type m2 = { m00 : Complex.t; m01 : Complex.t; m10 : Complex.t; m11 : Complex.t }
-
-(* [m2_after g f] is the matrix of "apply f, then g": the product g·f. *)
-let m2_after g f =
-  let open Complex in
-  { m00 = add (mul g.m00 f.m00) (mul g.m01 f.m10);
-    m01 = add (mul g.m00 f.m01) (mul g.m01 f.m11);
-    m10 = add (mul g.m10 f.m00) (mul g.m11 f.m10);
-    m11 = add (mul g.m10 f.m01) (mul g.m11 f.m11) }
-
-(* The 2×2 matrix of a 1-qubit gate, with its qubit. *)
-let m2_of_gate = function
-  | Gate.X q -> Some (q, { m00 = c0; m01 = c1; m10 = c1; m11 = c0 })
-  | Gate.Y q -> Some (q, { m00 = c0; m01 = cmi; m10 = ci; m11 = c0 })
-  | Gate.Z q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = cm1 })
-  | Gate.H q -> Some (q, { m00 = ch; m01 = ch; m10 = ch; m11 = chm })
-  | Gate.S q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = ci })
-  | Gate.Sdg q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = cmi })
-  | Gate.T q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = omega })
-  | Gate.Tdg q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = omega_bar })
-  | Gate.Rz (a, q) ->
-      let h = a /. 2. in
-      Some
-        ( q,
-          { m00 = Complex.{ re = cos h; im = -.sin h }; m01 = c0; m10 = c0;
-            m11 = Complex.{ re = cos h; im = sin h } } )
-  | _ -> None
+(* --- diagonal sweeps --- *)
 
 (* One multiplicative term of a diagonal gate: amplitudes whose index
    matches [want] on [mask] pick up the phase (pre + i·pim). *)
@@ -485,8 +455,7 @@ let seg_phase_sweep_base (re : float array) (im : float array) lo_re lo_im
 
 (* A fully prepared diagonal sweep: the per-half phase tables plus any
    straddling terms. Building one is O(√2^n · terms); the plan layer
-   builds each sweep once and replays it across shots, where the old
-   path rebuilt the tables on every execution. *)
+   builds each sweep once and replays it across shots. *)
 type sweep = {
   lo_re : float array;
   lo_im : float array;
@@ -544,23 +513,6 @@ let apply_sweep s sw =
           sw.hi_re sw.hi_im sw.half_mask sw.h sw.straddling (sl lsl s.sb) 0
           (slab_size s))
 
-let apply_phase_terms s (terms : dterm array) =
-  apply_sweep s (sweep_of_terms s.n terms)
-
-type op =
-  | Op_gate of Gate.t
-  | Op_fused1q of int * m2 (* a run of 1q gates on one qubit, multiplied out *)
-  | Op_phases of dterm array (* a run of diagonal gates, one sweep *)
-
-type pending =
-  | P_none
-  | P_1q of { q : int; m : m2; count : int; first : Gate.t }
-  | P_diag of {
-      rev_terms : dterm list list;
-      ones : int; (* 1-qubit diag gates in the run *)
-      rev_gates : Gate.t list;
-    }
-
 (* Qubit of a 1-qubit gate, or -1 for multi-qubit gates. *)
 let q1_of = function
   | Gate.X q | Gate.Y q | Gate.Z q | Gate.H q | Gate.S q | Gate.Sdg q | Gate.T q
@@ -569,88 +521,18 @@ let q1_of = function
       q
   | _ -> -1
 
-(* A diagonal run re-emits its original gates unless it contains at
-   least this many 1-qubit phase gates. Those are the passes a sweep
-   collapses; multi-qubit CZ/CCZ/MCZ kernels already touch only a
-   2^-k subset of amplitudes, so a run of bare CZs (hidden-shift
-   oracles) or QFT's length-2 Rz runs is cheaper unfused. *)
+(* A diagonal run becomes one sweep only if it contains at least this
+   many 1-qubit phase gates. Those are the passes a sweep collapses;
+   multi-qubit CZ/CCZ/MCZ kernels already touch only a 2^-k subset of
+   amplitudes, so a run of bare CZs (hidden-shift oracles) or QFT's
+   length-2 Rz runs is cheaper gate by gate. *)
 let min_diag_run = 3
 
-(* Greedy single-pass fusion. Runs of length 1 re-emit the original gate:
-   the specialized kernels (swap_pairs for X, phase_on for Z/S/T) beat a
-   generic 2×2 multiply, and exact integer kernels stay exact. *)
-let fuse_gates (gates : Gate.t array) =
-  let ops = ref [] in
-  let emit o = ops := o :: !ops in
-  let flush = function
-    | P_none -> ()
-    | P_1q { m; q; count; first } ->
-        if count = 1 then emit (Op_gate first) else emit (Op_fused1q (q, m))
-    | P_diag { rev_terms; ones; rev_gates } ->
-        if ones < min_diag_run then
-          List.iter (fun g -> emit (Op_gate g)) (List.rev rev_gates)
-        else emit (Op_phases (Array.of_list (List.concat (List.rev rev_terms))))
-  in
-  let one_of g = if q1_of g >= 0 then 1 else 0 in
-  let step pending g =
-    match (pending, m2_of_gate g, dterms_of_gate g) with
-    | P_1q p, Some (q, m), _ when q = p.q ->
-        P_1q { p with m = m2_after m p.m; count = p.count + 1 }
-    | P_diag p, _, Some ts ->
-        P_diag
-          { rev_terms = ts :: p.rev_terms; ones = p.ones + one_of g;
-            rev_gates = g :: p.rev_gates }
-    | _, _, Some ts ->
-        flush pending;
-        P_diag { rev_terms = [ ts ]; ones = one_of g; rev_gates = [ g ] }
-    | _, Some (q, m), None ->
-        flush pending;
-        P_1q { q; m; count = 1; first = g }
-    | _, None, None ->
-        flush pending;
-        emit (Op_gate g);
-        P_none
-  in
-  flush (Array.fold_left step P_none gates);
-  List.rev !ops
-
-let apply_op s = function
-  | Op_gate g -> apply s g
-  | Op_fused1q (q, m) -> apply_1q s q m.m00 m.m01 m.m10 m.m11
-  | Op_phases terms -> apply_phase_terms s terms
-
-(* Cheap pre-scan deciding whether the prepass can fuse anything at all:
-   a diagonal run with ≥ [min_diag_run] 1-qubit phase gates, or a
-   non-diagonal 1-qubit gate directly followed by a 1-qubit gate on the
-   same qubit (the [P_1q] seed). Circuits with no such adjacency
-   (H/CNOT-mix layers, QFT's Rz/CNOT interleaving, bare-CZ oracles)
-   skip the prepass and its allocations — false negatives only skip an
-   optimization, never change results. *)
 let is_diag = function
   | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Rz _ | Gate.Cz _
   | Gate.Ccz _ | Gate.Mcz _ ->
       true
   | _ -> false
-
-let has_fusable (gates : Gate.t array) =
-  let n = Array.length gates in
-  let found = ref false in
-  let diag_run = ref 0 in
-  let i = ref 0 in
-  while (not !found) && !i < n do
-    let g = gates.(!i) in
-    if is_diag g then begin
-      if q1_of g >= 0 then incr diag_run;
-      if !diag_run >= min_diag_run then found := true
-    end
-    else begin
-      diag_run := 0;
-      let q = q1_of g in
-      if q >= 0 && !i + 1 < n && q1_of gates.(!i + 1) = q then found := true
-    end;
-    incr i
-  done;
-  !found
 
 (** [amplitude_damp s q ~gamma ~jump] applies one quantum-trajectory branch
     of the amplitude-damping (T1) channel on qubit [q]:

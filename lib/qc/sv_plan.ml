@@ -480,7 +480,7 @@ let build circuit =
   let gates = peephole (Circuit.to_array circuit) in
   let ng = Array.length gates in
   (* pass 1: mark the maximal diagonal runs worth a separable sweep
-     (same profitability rule as the legacy prepass) *)
+     ({!Sv_kernels.min_diag_run}) *)
   let in_sweep = Array.make (max 1 ng) false in
   let i = ref 0 in
   while !i < ng do

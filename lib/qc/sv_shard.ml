@@ -61,9 +61,13 @@ let shard_override = ref None
 
 (** [set_shard_bits (Some s)] forces every subsequently allocated state
     to slabs of [2^s] amplitudes (clamped to the state's width); [None]
-    restores the automatic heuristic. The CLIs' [--shard-bits] flag. *)
+    restores the automatic heuristic. The CLIs' [--shard-bits] flag.
+    @raise Invalid_argument when [s < 1]. *)
 let set_shard_bits v =
-  shard_override := (match v with Some s when s >= 1 -> Some s | _ -> None)
+  (match v with
+  | Some s when s < 1 -> invalid_arg (Printf.sprintf "expected an integer >= 1, got %d" s)
+  | _ -> ());
+  shard_override := v
 
 (** [shard_bits_setting ()] is the current override, if any. *)
 let shard_bits_setting () = !shard_override

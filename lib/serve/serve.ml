@@ -50,6 +50,7 @@ module Shell = Core.Shell
 module Pass = Core.Pass
 module Backend = Qc.Backend
 module Noise = Qc.Noise
+module Rng = Qc.Rng
 
 exception Bad_tenant of string
 (** The tenant/queue spec is malformed; the message names the token. *)
@@ -240,14 +241,6 @@ let ladder_level cfg ~depth ~capacity =
 (* One request's compile + execute (the work a dispatch group shares)   *)
 (* ------------------------------------------------------------------ *)
 
-let job_seed cfg jid =
-  Int64.to_int
-    (Noise.splitmix64
-       (Int64.add
-          (Int64.mul (Int64.of_int cfg.seed) Noise.golden)
-          (Int64.of_int (jid + 1))))
-  land max_int
-
 let payload_of_outcome = function
   | Backend.Exported text -> "exported:" ^ Digest.to_hex (Digest.string text)
   | o -> Backend.outcome_to_string o
@@ -299,7 +292,7 @@ let execute_request ~cfg ~level ~leader_jid ~budget_us (req : request) =
         else (family, req.shots)
       else (family, req.shots)
     in
-    let seed = job_seed cfg leader_jid in
+    let seed = Rng.derive ~seed:cfg.seed leader_jid in
     let outcome, backend_verdict =
       match (family, cfg.faults) with
       | "noisy", Some profile ->
@@ -823,15 +816,6 @@ module Load = struct
     { requests = 1000; tenants = default_tenants; seed = 0xA11CE; rate = 3.0;
       shots = 48; deadline_scale = 1.0; faults = None }
 
-  (* counter-based uniform in [0,1): splitmix64 of (seed, index, salt) *)
-  let u ~seed ~i ~salt =
-    let open Int64 in
-    let x =
-      add (mul (of_int (seed lxor (salt * 0x01000193))) Noise.golden) (of_int i)
-    in
-    let z = Noise.splitmix64 (add (Noise.splitmix64 x) (of_int (salt + 1))) in
-    Int64.to_float (shift_right_logical z 11) /. 9007199254740992.
-
   (* the mixed spec pool: small enough that every family statevector-
      simulates, varied enough that coalescing is partial, not total *)
   let spec_pool : Flow.spec array Lazy.t =
@@ -865,11 +849,11 @@ module Load = struct
     let tenants = Array.of_list t.tenants in
     let reqs =
       Array.init t.requests (fun i ->
-          let spec = pool.(int_of_float (u ~seed:t.seed ~i ~salt:1 *. float_of_int (Array.length pool))) in
-          let backend, shots = pick_backend ~shots:t.shots (u ~seed:t.seed ~i ~salt:2) in
+          let u salt = Rng.uniform ~seed:t.seed ~i ~salt in
+          let spec = pool.(int_of_float (u 1 *. float_of_int (Array.length pool))) in
+          let backend, shots = pick_backend ~shots:t.shots (u 2) in
           let tenant =
-            tenants.(int_of_float
-                       (u ~seed:t.seed ~i ~salt:3 *. float_of_int (Array.length tenants)))
+            tenants.(int_of_float (u 3 *. float_of_int (Array.length tenants)))
           in
           { tenant = tenant.name; spec; pipeline = None; backend; shots;
             deadline_us = 0. (* filled below, off the mean cost *) })
@@ -883,10 +867,9 @@ module Load = struct
     Array.to_list
       (Array.mapi
          (fun i req ->
-           at := !at +. (-.mean_ia *. log (1. -. (0.999999 *. u ~seed:t.seed ~i ~salt:4)));
-           let deadline_us =
-             mean_cost *. (4. +. (28. *. u ~seed:t.seed ~i ~salt:5)) *. t.deadline_scale
-           in
+           let u salt = Rng.uniform ~seed:t.seed ~i ~salt in
+           at := !at +. (-.mean_ia *. log (1. -. (0.999999 *. u 4)));
+           let deadline_us = mean_cost *. (4. +. (28. *. u 5)) *. t.deadline_scale in
            { at_us = !at; req = { req with deadline_us } })
          reqs)
 

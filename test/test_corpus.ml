@@ -86,29 +86,19 @@ let test_run_deterministic () =
   if run () <> run () then
     Alcotest.fail "two in-process corpus runs disagree"
 
-(* the statevector kernel-plan layer and the worker count must never
-   leak into corpus records: planned vs --no-plan and --jobs 1 vs 4
+(* the worker count must never leak into corpus records: --jobs 1 vs 4
    produce byte-identical snapshots on the smoke slice *)
 let test_run_plan_jobs_invariant () =
-  let snap () =
-    Obs.Json.to_string
-      (Corpus.snapshot_to_json
-         (Corpus.snapshot (Corpus.run ~config:no_timings Corpus.smoke_manifest)))
-  in
-  let with_setup ~plan ~jobs f =
-    Qc.Statevector.set_plan_enabled plan;
+  let snap jobs =
     Par.set_default_jobs jobs;
     Fun.protect
-      ~finally:(fun () ->
-        Qc.Statevector.set_plan_enabled true;
-        Par.set_default_jobs 1)
-      f
+      ~finally:(fun () -> Par.set_default_jobs 1)
+      (fun () ->
+        Obs.Json.to_string
+          (Corpus.snapshot_to_json
+             (Corpus.snapshot (Corpus.run ~config:no_timings Corpus.smoke_manifest))))
   in
-  let planned_j1 = with_setup ~plan:true ~jobs:1 snap in
-  let planned_j4 = with_setup ~plan:true ~jobs:4 snap in
-  let legacy_j1 = with_setup ~plan:false ~jobs:1 snap in
-  Alcotest.(check string) "snapshot invariant under --jobs" planned_j1 planned_j4;
-  Alcotest.(check string) "snapshot invariant under --no-plan" planned_j1 legacy_j1
+  Alcotest.(check string) "snapshot invariant under --jobs" (snap 1) (snap 4)
 
 (* ---------------- snapshot persistence ---------------- *)
 

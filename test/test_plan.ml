@@ -25,7 +25,7 @@ let same_amplitudes s1 s2 =
 
 let plan_equiv c = same_amplitudes (run_planned c) (Statevector.run ~fuse:false c)
 
-(* --- qcheck: planned = unfused on three circuit families --- *)
+(* --- qcheck: planned = unfused on four circuit families --- *)
 
 let seeded_circuit_gen mk =
   QCheck2.Gen.map
@@ -92,6 +92,34 @@ let prop_general_dense =
       let* seed = int_bound 1_000_000 in
       Helpers.qcircuit_gen ~diagonals:(seed mod 2 = 0) 4 50)
     plan_equiv
+
+(* The random 4q/40-gate Clifford+T family, with and without diagonal
+   gates: short circuits where 1q runs and diagonal runs sit next to
+   each other. *)
+let prop_random_clifford_t =
+  Helpers.prop "random short Clifford+T" ~count:60
+    QCheck2.Gen.(
+      let* seed = int_bound 1_000_000 in
+      Helpers.qcircuit_gen ~diagonals:(seed mod 2 = 0) 4 40)
+    plan_equiv
+
+let test_rz_swap_mcz () =
+  (* gates the random generators never emit together: Rz runs, Swap
+     barriers, Mcz *)
+  let c =
+    Circuit.of_gates 4
+      [ Gate.H 0; Gate.Rz (0.3, 0); Gate.Rz (-1.1, 0); Gate.T 0; Gate.Z 0;
+        Gate.Cz (0, 1); Gate.Swap (1, 2); Gate.H 2; Gate.S 2; Gate.Sdg 2;
+        Gate.Mcz [ 0; 1; 2; 3 ]; Gate.Ccz (0, 1, 3); Gate.Rz (0.7, 3);
+        Gate.T 1; Gate.Sdg 2 ]
+  in
+  Alcotest.(check bool) "equivalent" true (plan_equiv c)
+
+let test_exact_basis () =
+  (* X-only runs plan to an exact permutation: amplitudes stay 0/1 *)
+  let c = Circuit.of_gates 2 [ Gate.X 0; Gate.X 0; Gate.X 0; Gate.X 1 ] in
+  Alcotest.(check bool) "exactly |11>" true (Statevector.prob (run_planned c) 0b11 = 1.);
+  Alcotest.(check bool) "reference agrees" true (plan_equiv c)
 
 (* --- classification: stats match the circuit's structure --- *)
 
@@ -259,7 +287,10 @@ let test_noise_sampler_reuse () =
 let () =
   Alcotest.run "plan"
     [ ( "replay-equivalence",
-        [ prop_diag_heavy; prop_perm_heavy; prop_general_dense ] );
+        [ prop_diag_heavy; prop_perm_heavy; prop_general_dense;
+          prop_random_clifford_t;
+          Alcotest.test_case "rz/swap/mcz circuit" `Quick test_rz_swap_mcz;
+          Alcotest.test_case "exact basis preserved" `Quick test_exact_basis ] );
       ( "classification",
         [ Alcotest.test_case "diag-heavy stats" `Quick test_stats_diag;
           Alcotest.test_case "perm block" `Quick test_stats_perm;

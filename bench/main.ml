@@ -196,15 +196,17 @@ let tests =
          batches at the paper's 1024-shot volume, and the unfused
          reference vs the default (plan replay) path on a T-heavy 16-qubit
          workload (above the kernel-parallelism threshold, so the fused
-         run also exercises the chunked sweeps). *)
+         run also exercises the chunked sweeps). The shot batches run the
+         non-Clifford MM circuit: a Clifford one would take the sequential
+         Pauli-frame engine and never reach the pool. *)
       Test.make ~name:"par_shots_1024_seq"
         (stage (fun () ->
-             Qc.Noise.run_shots ~seed:42 ~jobs:1 Qc.Noise.ibm_qx2017 e1_circuit
+             Qc.Noise.run_shots ~seed:42 ~jobs:1 Qc.Noise.ibm_qx2017 e3_circuit
                ~shots:1024));
       Test.make ~name:"par_shots_1024_pool"
         (let jobs = max 2 (Par.recommended ()) in
          stage (fun () ->
-             Qc.Noise.run_shots ~seed:42 ~jobs Qc.Noise.ibm_qx2017 e1_circuit
+             Qc.Noise.run_shots ~seed:42 ~jobs Qc.Noise.ibm_qx2017 e3_circuit
                ~shots:1024));
       Test.make ~name:"sv_run_unfused_16q"
         (stage (fun () -> Qc.Statevector.run ~fuse:false diag16));

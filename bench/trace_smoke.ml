@@ -9,9 +9,12 @@
       --jobs / --shard-bits / --deadline each exit 2 with one
       "hidden-shift: ..." line on stderr, and --max-retries 0 is
       accepted;
-   3. null-sink micro-overhead: with no sink installed, Obs.with_span
+   3. wide noisy run: the 40-qubit inner-product instance on the noisy
+      target (Pauli-frame engine, no statevector) exits 0 and lists the
+      planted shift as its most frequent outcome;
+   4. null-sink micro-overhead: with no sink installed, Obs.with_span
       must cost no more than a branch (generous per-call ceiling);
-   4. flow overhead: Core.Flow.compile_perm hwb4 with the null sink must
+   5. flow overhead: Core.Flow.compile_perm hwb4 with the null sink must
       not be slower than the same compile with a recording sink (within
       noise) — if it is, the disabled path has grown real work. *)
 
@@ -118,7 +121,27 @@ let check_cli_errors cli =
   | _, err -> die "hidden-shift --max-retries 0 was refused: %S" err);
   print_endline "trace smoke: CLI session-flag errors OK"
 
-(* --- 3. null-sink span overhead --- *)
+(* --- 3. 40-qubit noisy run --- *)
+
+let check_wide_noisy cli =
+  let out = Filename.temp_file "dautoq_trace" ".out" in
+  let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let args = [ "ip"; "-n"; "20"; "--target"; "noisy:shots=1024" ] in
+  let pid = Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin out_fd Unix.stderr in
+  let _, status = Unix.waitpid [] pid in
+  Unix.close out_fd;
+  let text = read_file out in
+  Sys.remove out;
+  if status <> Unix.WEXITED 0 then die "hidden-shift %s exited abnormally" (String.concat " " args);
+  (* "qubits: 40, gates: N", then the histogram, most frequent first *)
+  match String.split_on_char '\n' text with
+  | header :: first :: _ when String.starts_with ~prefix:"qubits: 40," header -> (
+      match String.split_on_char ' ' (String.trim first) with
+      | "1" :: _ -> print_endline "trace smoke: 40-qubit noisy run OK (shift 1 modal)"
+      | _ -> die "40-qubit noisy run: most frequent outcome is not the shift 1: %S" first)
+  | _ -> die "40-qubit noisy run: unexpected output %S" text
+
+(* --- 4. null-sink span overhead --- *)
 
 let check_null_overhead () =
   Obs.set_sink None;
@@ -134,7 +157,7 @@ let check_null_overhead () =
     die "null-sink with_span costs %.0fns/call (> 1000ns ceiling)" (per_call *. 1e9);
   Printf.printf "trace smoke: null-sink span overhead %.0fns/call\n" (per_call *. 1e9)
 
-(* --- 4. compile flow: null sink must not be slower than recording --- *)
+(* --- 5. compile flow: null sink must not be slower than recording --- *)
 
 let time_compile () =
   let hwb4 = Logic.Funcgen.hwb 4 in
@@ -168,7 +191,8 @@ let () =
   (match Array.to_list Sys.argv with
   | [ _; cli ] ->
       check_cli cli;
-      check_cli_errors cli
+      check_cli_errors cli;
+      check_wide_noisy cli
   | _ -> die "usage: trace_smoke <hidden_shift_cli.exe>");
   check_null_overhead ();
   check_flow_overhead ()

@@ -73,15 +73,13 @@ let run session instance ~noisy ~shots ~runs ~draw ~qasm ~passes ~target =
       let backend = Qc.Backend.of_spec spec in
       print_endline (Qc.Backend.outcome_to_string (backend.Qc.Backend.run circuit)));
   if noisy then begin
-    let mean, std =
-      Core.Hidden_shift.run_noisy Qc.Noise.ibm_qx2017 instance ~shots ~runs
-    in
+    let stats = Core.Hidden_shift.run_noisy Qc.Noise.ibm_qx2017 instance ~shots ~runs in
     Printf.printf "outcome histogram over %d runs x %d shots:\n" runs shots;
-    Array.iteri
-      (fun x m -> if m > 0.004 then Printf.printf "  %4d  %.4f +- %.4f\n" x m std.(x))
-      mean;
+    List.iter
+      (fun (x, m, sd) -> if m > 0.004 then Printf.printf "  %4d  %.4f +- %.4f\n" x m sd)
+      stats;
     let s = Core.Hidden_shift.shift instance in
-    Printf.printf "Shift is %d (success probability %.3f)\n" s mean.(s)
+    Printf.printf "Shift is %d (success probability %.3f)\n" s (Qc.Noise.stats_mean stats s)
   end
   else if target = None then begin
     let found = Core.Hidden_shift.solve instance in

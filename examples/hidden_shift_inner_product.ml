@@ -47,14 +47,13 @@ let () =
 
   (* the same circuit on the noisy IBM-substitute backend: Fig. 6 *)
   print_endline "\nSwitching backend to the noisy (IBM QX-like) simulator:";
-  let mean, std =
-    Qc.Noise.runs_statistics Qc.Noise.ibm_qx2017 circuit ~shots:1024 ~runs:3
-  in
+  let stats = Qc.Noise.runs_statistics Qc.Noise.ibm_qx2017 circuit ~shots:1024 ~runs:3 in
   Printf.printf "3 runs x 1024 shots; outcomes with mean frequency > 0.5%%:\n";
-  Array.iteri
-    (fun x m ->
+  List.iter
+    (fun (x, m, sd) ->
       if m > 0.005 then
-        Printf.printf "  %2d  %5.3f +- %.3f %s\n" x m std.(x)
+        Printf.printf "  %2d  %5.3f +- %.3f %s\n" x m sd
           (if x = outcome then "<- correct shift" else ""))
-    mean;
-  Printf.printf "success probability %.2f (paper: ~0.63 on the IBM chip)\n" mean.(outcome)
+    stats;
+  Printf.printf "success probability %.2f (paper: ~0.63 on the IBM chip)\n"
+    (Qc.Noise.stats_mean stats outcome)

@@ -147,8 +147,9 @@ let solve_clifford instance =
   outcome
 
 (** [run_noisy ?seed params i ~shots ~runs] executes the circuit on the
-    noisy backend — the Fig. 6 experiment. Returns per-outcome mean and
-    standard deviation of the frequency across runs. *)
+    noisy backend — the Fig. 6 experiment. Returns [(outcome, mean,
+    stddev)] of the frequency across runs for every observed outcome, in
+    ascending outcome order (see {!Qc.Noise.runs_statistics}). *)
 let run_noisy ?seed params instance ~shots ~runs =
   Qc.Noise.runs_statistics ?seed params (build instance) ~shots ~runs
 

@@ -261,3 +261,89 @@ let measure_all ?st t =
     if not det then deterministic := false
   done;
   (!out, !deterministic)
+
+(* --- Pauli frames and Z-basis supports (noisy Clifford shots) --- *)
+
+(** The widest register a {!frame} or {!z_support} packs into an int:
+    bits 0..61, so no mask ever reaches the sign bit. *)
+let max_frame_qubits = 62
+
+(** A Pauli operator up to phase on at most {!max_frame_qubits} qubits:
+    qubit [q] carries X when bit [q] of [fx] is set, Z when bit [q] of
+    [fz] is, and Y when both are. A noisy Clifford shot carries one
+    through the circuit: the noisy state is [frame · ideal state]. *)
+type frame = { mutable fx : int; mutable fz : int }
+
+let bit v q = (v lsr q) land 1
+
+let swap_bits v a b =
+  let d = bit v a lxor bit v b in
+  v lxor ((d lsl a) lor (d lsl b))
+
+(** [frame_conjugate f g] replaces [f] by G·f·G† (phase dropped) for
+    every gate {!apply} accepts. Raises {!Not_clifford} otherwise. *)
+let frame_conjugate f (g : Gate.t) =
+  match g with
+  | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.Mcz [ _ ] -> ()
+  | Gate.H q ->
+      (* X <-> Z; Y maps to -Y *)
+      let d = (bit f.fx q lxor bit f.fz q) lsl q in
+      f.fx <- f.fx lxor d;
+      f.fz <- f.fz lxor d
+  | Gate.S q | Gate.Sdg q -> (* X -> ±Y, Z fixed *) f.fz <- f.fz lxor (f.fx land (1 lsl q))
+  | Gate.Cnot (a, b) ->
+      (* X_a -> X_a X_b, Z_b -> Z_a Z_b *)
+      f.fx <- f.fx lxor (bit f.fx a lsl b);
+      f.fz <- f.fz lxor (bit f.fz b lsl a)
+  | Gate.Cz (a, b) | Gate.Mcz [ a; b ] ->
+      (* X_a -> X_a Z_b, X_b -> Z_a X_b *)
+      f.fz <- f.fz lxor (bit f.fx b lsl a) lxor (bit f.fx a lsl b)
+  | Gate.Swap (a, b) ->
+      f.fx <- swap_bits f.fx a b;
+      f.fz <- swap_bits f.fz a b
+  | g -> raise (Not_clifford g)
+
+(** The Z-basis outcomes of a stabilizer state, all equally likely: the
+    affine subspace [x0 ⊕ span basis]. [basis] is in reduced echelon
+    form sorted by ascending leading bit, and [x0] is the smallest
+    element, so {!support_nth} enumerates outcomes in ascending order. *)
+type z_support = { x0 : int; basis : int array }
+
+(* index of the highest set bit of a positive int *)
+let leading_bit v =
+  let rec go v i = if v = 1 then i else go (v lsr 1) (i + 1) in
+  go v 0
+
+(** [z_support t] is the measurement support of [t] (which it collapses).
+    Requires [num_qubits t <= max_frame_qubits]. *)
+let z_support t =
+  if t.n > max_frame_qubits then invalid_arg "Stabilizer.z_support: more than 62 qubits";
+  (* by_pivot.(p): the basis vector whose leading bit is p, or 0 *)
+  let by_pivot = Array.make t.n 0 in
+  for i = t.n to (2 * t.n) - 1 do
+    let v = ref (Int64.to_int t.x.(i).(0)) in
+    while !v <> 0 && by_pivot.(leading_bit !v) <> 0 do
+      v := !v lxor by_pivot.(leading_bit !v)
+    done;
+    if !v <> 0 then by_pivot.(leading_bit !v) <- !v
+  done;
+  (* full reduction: clear each pivot bit from every higher vector *)
+  for p = 0 to t.n - 1 do
+    if by_pivot.(p) <> 0 then
+      for q = p + 1 to t.n - 1 do
+        if bit by_pivot.(q) p = 1 then by_pivot.(q) <- by_pivot.(q) lxor by_pivot.(p)
+      done
+  done;
+  (* any outcome lies in the support; clearing its pivot bits gives the
+     coset minimum *)
+  let x, _ = measure_all t in
+  let x0 = ref x in
+  Array.iteri (fun p v -> if v <> 0 && bit !x0 p = 1 then x0 := !x0 lxor v) by_pivot;
+  { x0 = !x0; basis = Array.of_list (List.filter (( <> ) 0) (Array.to_list by_pivot)) }
+
+(** [support_nth s m] is the [m]-th smallest outcome of [s], for
+    [0 <= m < 2^(Array.length s.basis)]. *)
+let support_nth s m =
+  let x = ref s.x0 in
+  Array.iteri (fun i v -> if bit m i = 1 then x := !x lxor v) s.basis;
+  !x

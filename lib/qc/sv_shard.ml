@@ -119,9 +119,10 @@ let init n =
       (Unsupported
          (Printf.sprintf
             "sv.alloc: %d qubits (2^%d amplitudes) exceed the statevector \
-             cap of %d qubits; raise DAUTOQ_SV_MAX_QUBITS, or use the \
-             stabilizer backend (Clifford circuits) / the noisy backend's \
-             sparse histograms for wider runs"
+             cap of %d qubits; raise DAUTOQ_SV_MAX_QUBITS. Clifford \
+             circuits run wider without a statevector: on the stabilizer \
+             backend, or on the noisy backend up to 62 qubits; other \
+             circuits need one"
             n n cap));
   let sb = slab_bits_for n in
   let slabs = 1 lsl (n - sb) and slab_size = 1 lsl sb in

@@ -91,7 +91,18 @@ let test_rewrite_cleanups () =
   Xag.add_output h t2;
   (* the AND tree contains both t and ¬t at construction already *)
   Alcotest.(check int) "contradiction folds" Xag.const_false t2;
-  ignore (Xag.rewrite h)
+  ignore (Xag.rewrite h);
+  (* x2 & x3 is both an AND-tree member and a complemented leaf:
+     flattening rebuilds it twice, so the rewrite must keep the input *)
+  let e =
+    Logic.Bexpr.parse
+      "(((0 ^ x3) & x4) ^ (!x3 | !x1)) & (((x2 & x3) & (x1 | x1)) & !(x3 & x2))"
+  in
+  let g = Xag.of_bexpr 5 e in
+  let g' = Xag.rewrite g in
+  Alcotest.(check bool) "shared AND leaf: never grows" true (Xag.num_nodes g' <= Xag.num_nodes g);
+  Alcotest.(check bool) "shared AND leaf: same function" true
+    (Truth_table.equal (Logic.Bexpr.to_truth_table ~n:5 e) (List.hd (Xag.to_truth_tables g')))
 
 (* ---- structural keys ---- *)
 

@@ -44,6 +44,12 @@ let e3_instance =
 let e3_circuit = Core.Hidden_shift.build e3_instance
 let hwb4_rev = Rev.Tbs.synth hwb4
 let hwb4_mapped, _ = Qc.Clifford_t.compile_rcircuit hwb4_rev
+(* The default-flow hwb6 circuit as it reaches the peephole (TBS,
+   revsimp, Clifford+T, T-par): the pass that dominated oracle compiles
+   before its worklist rewrite. *)
+let hwb6_pre_peephole, _ =
+  Core.Flow.compile_perm ~options:{ Core.Flow.default with peephole = false } hwb6
+
 let adder_xag = Rev.Xag.ripple_adder 4
 let maj5 = Logic.Funcgen.majority 5
 
@@ -136,6 +142,7 @@ let tests =
       Test.make ~name:"e4_stage_cliffordt"
         (stage (fun () -> Qc.Clifford_t.compile_rcircuit hwb4_rev));
       Test.make ~name:"e4_stage_tpar" (stage (fun () -> Qc.Tpar.optimize hwb4_mapped));
+      Test.make ~name:"peephole_hwb6" (stage (fun () -> Qc.Opt.simplify hwb6_pre_peephole));
       (* E5: synthesis sweep — per-method kernels at two sizes *)
       Test.make ~name:"e5_tbs_hwb6" (stage (fun () -> Rev.Tbs.synth hwb6));
       Test.make ~name:"e5_tbs_hwb8" (stage (fun () -> Rev.Tbs.synth hwb8));

@@ -341,7 +341,7 @@ let run_uncached pipeline rc0 =
    the cached result indistinguishable from a fresh run; a hit re-serves
    the recorded trace (the per-pass timings of the original run). *)
 let result_store : (string, result) Cache.store =
-  Cache.create ~name:"pass.result" ~schema:"pass-result.v1" ~group:"lower"
+  Cache.create ~name:"pass.result" ~schema:"pass-result.v2" ~group:"lower"
     ~key_of:Fun.id
 
 (** [run pipeline rc] executes every pass in order, recording one trace
@@ -379,7 +379,7 @@ let run_qc_uncached passes c0 =
   (c, List.rev !entries)
 
 let qc_result_store : (string, Qc.Circuit.t * trace) Cache.store =
-  Cache.create ~name:"pass.qc_result" ~schema:"pass-qc.v1" ~group:"lower"
+  Cache.create ~name:"pass.qc_result" ~schema:"pass-qc.v2" ~group:"lower"
     ~key_of:Fun.id
 
 (** [run_qc passes c] executes a quantum-layer pass list on an

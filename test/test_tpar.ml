@@ -111,6 +111,147 @@ let test_opt_across_disjoint () =
   let c' = Opt.simplify c in
   Alcotest.(check int) "H pair cancels across disjoint CNOT" 1 (Circuit.num_gates c')
 
+(* Reference peephole: the restart-from-zero scan. Each step rewrites the
+   leftmost gate that has a fusable partner in its commuting window, with
+   its first partner, then rescans from gate 0. [Opt.simplify] must
+   produce the same circuit. *)
+let reference_simplify c =
+  let disjoint a b =
+    let qb = Gate.qubits b in
+    not (List.exists (fun q -> List.mem q qb) (Gate.qubits a))
+  in
+  let same_qubit_phases a b =
+    match (Opt.target_of_phase a, Opt.target_of_phase b) with
+    | Some qa, Some qb -> qa = qb
+    | _ -> false
+  in
+  let rewrite_once gates =
+    let n = Array.length gates in
+    let rec scan i =
+      let rec probe j =
+        if j >= n then None
+        else
+          match Opt.fuse gates.(i) gates.(j) with
+          | Some r -> Some (j, r)
+          | None ->
+              if disjoint gates.(i) gates.(j) || same_qubit_phases gates.(i) gates.(j)
+              then probe (j + 1)
+              else None
+      in
+      if i >= n - 1 then None
+      else
+        match probe (i + 1) with
+        | None -> scan (i + 1)
+        | Some (j, r) ->
+            let out = ref [] in
+            for k = n - 1 downto 0 do
+              if k = j then out := r @ !out else if k <> i then out := gates.(k) :: !out
+            done;
+            Some (Array.of_list !out)
+    in
+    scan 0
+  in
+  let rec fix gates = match rewrite_once gates with Some g -> fix g | None -> gates in
+  Circuit.of_gates (Circuit.num_qubits c) (Array.to_list (fix (Circuit.to_array c)))
+
+let same_as_reference c =
+  Circuit.structural_key (Opt.simplify c) = Circuit.structural_key (reference_simplify c)
+
+(* Random 1-6 qubit circuits over every gate kind. Rz angles come from a
+   set closed under negation so that Rz pairs also cancel exactly. *)
+let any_gate_circuit_gen =
+  QCheck2.Gen.map
+    (fun seed ->
+      let st = Helpers.rng seed in
+      let n = 1 + Random.State.int st 6 in
+      let distinct k =
+        let a = Array.init n Fun.id in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done;
+        Array.to_list (Array.sub a 0 k)
+      in
+      let gate () =
+        let q = Random.State.int st n in
+        match (Random.State.int st 16, distinct (min n 4)) with
+        | 0, _ -> Gate.H q
+        | 1, _ -> Gate.X q
+        | 2, _ -> Gate.Y q
+        | 3, _ -> Gate.Z q
+        | 4, _ -> Gate.S q
+        | 5, _ -> Gate.Sdg q
+        | 6, _ -> Gate.T q
+        | 7, _ -> Gate.Tdg q
+        | 8, _ -> Gate.Rz ([| 0.5; -0.5; 0.25; -0.25 |].(Random.State.int st 4), q)
+        | 9, a :: b :: _ -> Gate.Cnot (a, b)
+        | 10, a :: b :: _ -> Gate.Cz (a, b)
+        | 11, a :: b :: _ -> Gate.Swap (a, b)
+        | 12, a :: b :: c :: _ -> Gate.Ccx (a, b, c)
+        | 13, a :: b :: c :: _ -> Gate.Ccz (a, b, c)
+        | 14, t :: (_ :: _ as cs) -> Gate.Mcx (cs, t)
+        | 15, qs -> Gate.Mcz qs
+        | _ -> Gate.H q
+      in
+      Circuit.of_gates n (List.init (Random.State.int st 40) (fun _ -> gate ())))
+    QCheck2.Gen.(int_bound 1_000_000)
+
+let prop_opt_matches_reference =
+  Helpers.prop "peephole equals the reference scan" ~count:500 any_gate_circuit_gen
+    same_as_reference
+
+(* The corpus' default flow (lower, then T-par) stops just before the
+   peephole; these are the circuits it hands over. *)
+let pre_peephole spec =
+  let raw, _ = Corpus.build (Corpus.parse_entry spec) in
+  Tpar.optimize (fst (Clifford_t.compile raw))
+
+let test_opt_reference_default_flow () =
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) spec true (same_as_reference (pre_peephole spec)))
+    [ "hwb:5"; "grover:6:23"; "cmp:8" ]
+
+(* S·T needs two gates (3 eighths), so it is not a fusion: a pair that
+   used to be rewritten into itself no longer blocks the rewrites after
+   it. *)
+let s_t_t = Circuit.of_gates 1 [ Gate.S 0; Gate.T 0; Gate.T 0 ]
+
+let s_t_before_body =
+  Circuit.of_gates 9
+    [ Gate.S 8; Gate.T 8; Gate.H 0; Gate.H 0; Gate.Cnot (1, 2); Gate.Cnot (1, 2) ]
+
+let test_opt_two_gate_phase_sums () =
+  Alcotest.(check (list string)) "S T T -> Z" [ "z" ]
+    (List.map Gate.name (Circuit.gates (Opt.simplify s_t_t)));
+  Alcotest.(check int) "body rewrites still apply" 2
+    (Circuit.num_gates (Opt.simplify s_t_before_body))
+
+(* Every rewrite removes one or two gates, so the rewrite counter brackets
+   the gates removed. *)
+let test_opt_rewrite_counter () =
+  List.iter
+    (fun (label, c) ->
+      let m = Obs.Memory.create () in
+      Obs.reset ();
+      Obs.set_sink (Some (Obs.Memory.sink m));
+      let c' = Fun.protect ~finally:(fun () -> Obs.set_sink None) (fun () -> Opt.simplify c) in
+      let rewrites =
+        Option.value ~default:0
+          (List.assoc_opt "qc.opt.rewrites" (Obs.Summary.counter_totals (Obs.Memory.events m)))
+      in
+      let removed = Circuit.num_gates c - Circuit.num_gates c' in
+      Alcotest.(check bool) (label ^ ": rewrites applied") true (rewrites > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d rewrites <= %d removed <= 2x" label rewrites removed)
+        true
+        (rewrites <= removed && removed <= 2 * rewrites))
+    [ ("S T T", s_t_t);
+      ("S T before a body", s_t_before_body);
+      ("cliffordt:6:1", pre_peephole "cliffordt:6:1") ]
+
 let prop_opt_preserves_unitary =
   Helpers.prop "peephole preserves the unitary exactly" ~count:150
     (Helpers.qcircuit_gen 3 20)
@@ -140,5 +281,9 @@ let () =
         [ Alcotest.test_case "cancellation" `Quick test_opt_cancellation;
           Alcotest.test_case "fusion" `Quick test_opt_fusion;
           Alcotest.test_case "across disjoint" `Quick test_opt_across_disjoint;
+          Alcotest.test_case "two-gate phase sums" `Quick test_opt_two_gate_phase_sums;
+          Alcotest.test_case "reference on default flow" `Quick test_opt_reference_default_flow;
+          Alcotest.test_case "rewrite counter" `Quick test_opt_rewrite_counter;
+          prop_opt_matches_reference;
           prop_opt_preserves_unitary;
           prop_opt_never_grows ] ) ]

@@ -6,10 +6,11 @@
 
      dune exec bench/main.exe            -- tables + timings
      dune exec bench/main.exe quick      -- timings only
-     dune exec bench/main.exe json       -- timings + telemetry counters
+     dune exec bench/main.exe json [FILE]
+                                         -- timings + telemetry counters
                                             + corpus snapshot + serve load
-                                            metrics written to
-                                            BENCH_pr10.json *)
+                                            metrics written to FILE
+                                            (default BENCH.json) *)
 
 open Bechamel
 open Bechamel.Toolkit
@@ -42,6 +43,7 @@ let e3_instance =
   Core.Hidden_shift.Mm { mm = mm_paper; s = 5; synth = Pq.Oracles.Tbs }
 
 let e3_circuit = Core.Hidden_shift.build e3_instance
+let addeq3_circuit, _ = Core.Flow.compile_xag (Rev.Arith.xag_add_equals 3)
 let hwb4_rev = Rev.Tbs.synth hwb4
 let hwb4_mapped, _ = Qc.Clifford_t.compile_rcircuit hwb4_rev
 (* The default-flow hwb6 circuit as it reaches the peephole (TBS,
@@ -210,6 +212,13 @@ let tests =
         (stage (fun () ->
              Qc.Noise.run_shots ~seed:42 ~jobs:1 Qc.Noise.ibm_qx2017 e3_circuit
                ~shots:1024));
+      (* The phase-polynomial segment engine on the serve pool's
+         widest circuit (addeq:3, 17 qubits, 467 gates): one request's
+         48 noisy shots. *)
+      Test.make ~name:"noise_segment_addeq3_48"
+        (stage (fun () ->
+             Qc.Noise.run_shots ~seed:42 ~jobs:1 Qc.Noise.ibm_qx2017 addeq3_circuit
+               ~shots:48));
       Test.make ~name:"par_shots_1024_pool"
         (let jobs = max 2 (Par.recommended ()) in
          stage (fun () ->
@@ -408,8 +417,17 @@ let write_bench_json path rows events =
     (List.length corpus_snapshot.Corpus.entries)
 
 let () =
-  let quick = Array.exists (fun a -> a = "quick") Sys.argv in
-  let json = Array.exists (fun a -> a = "json") Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let quick = List.mem "quick" args in
+  let json = List.mem "json" args in
+  let json_path =
+    match List.filter (fun a -> a <> "quick" && a <> "json") args with
+    | [] -> "BENCH.json"
+    | [ path ] -> path
+    | _ ->
+        prerr_endline "usage: main.exe [quick] [json [FILE]]";
+        exit 2
+  in
   if (not quick) && not json then begin
     print_endline "================ experiment tables (E1-E9) ================";
     print_string (Core.Experiments.all ());
@@ -417,4 +435,4 @@ let () =
   end;
   let rows = measure_benchmarks () in
   print_rows rows;
-  if json then write_bench_json "BENCH_pr10.json" rows (capture_telemetry ())
+  if json then write_bench_json json_path rows (capture_telemetry ())

@@ -130,22 +130,27 @@ let load_file path =
             List.rev !acc)
 
 let open_for_append path =
-  (* keep appending to a valid file; restart a stale or headerless one *)
+  (* Keep appending to a valid file. A stale or headerless one is
+     restarted by renaming a fresh file over it, never truncated in
+     place: another process still appending to the old file then writes
+     to the old inode instead of into the new header, and this process
+     appends (O_APPEND) after whatever others add to the new file. *)
   let valid =
-    Sys.file_exists path
-    && (try input_line (open_in_bin path) = header with _ -> false)
+    try In_channel.with_open_bin path In_channel.input_line = Some header
+    with Sys_error _ -> false
   in
-  let oc =
-    if valid then open_out_gen [ Open_append; Open_binary ] 0o644 path
-    else begin
-      let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 path in
-      output_string oc header;
-      output_char oc '\n';
-      flush oc;
-      oc
-    end
-  in
-  out_ref := Some oc
+  if not valid then begin
+    let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+    let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc header;
+        output_char oc '\n';
+        close_out oc);
+    Sys.rename tmp path
+  end;
+  out_ref := Some (open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path)
 
 let mkdir_p dir = try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 

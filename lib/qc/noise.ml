@@ -10,18 +10,28 @@
     the correct hidden shift dominates the histogram at p ≈ 0.6 rather
     than p = 1.
 
-    {!run_shots} picks one of three engines from the parameters and the
-    circuit: noiseless parameters sample one shared simulation; Clifford
-    circuits without amplitude damping carry a Pauli frame per shot
-    over one stabilizer tableau and never allocate a statevector (up to
-    62 qubits); everything else runs per-gate trajectories ({!run_shot}),
-    fanned out over the {!Par} domain pool. Determinism is by
+    {!run_shots} picks one of four engines ({!engine_for}) from the
+    parameters and the circuit alone:
+    - [Noiseless]: no gate noise, so one shared simulation is sampled
+      per shot;
+    - [Frame]: Clifford circuits without amplitude damping carry a
+      Pauli frame per shot over one stabilizer tableau and never
+      allocate a statevector (up to 62 qubits);
+    - [Segment]: other circuits without amplitude damping, from
+      {!segment_min_qubits} qubits, splice each shot's Pauli errors into
+      the gates and run every maximal CNOT/X/phase run as one
+      {!Phase_poly} region — one sweep instead of one per gate and error;
+    - [Trajectory]: everything else (amplitude damping, narrow circuits)
+      runs per-gate trajectories ({!run_shot} is the single-shot form and
+      the reference the other engines are tested against).
+    Segment and trajectory shots fan out over the {!Par} domain pool,
+    one state (and scratch) per worker chunk. Determinism is by
     construction: shot [i]'s PRNG state derives from [(seed, i)] through
-    {!Rng.shot_state} (never from how shots are scheduled), the frame
-    engine draws from it in the per-gate order, per-domain histograms
-    merge by integer addition, and telemetry accumulates per domain and
-    flushes once from the caller — so any [jobs] count is bit-identical
-    to the [~jobs:1] reference. *)
+    {!Rng.shot_state} (never from how shots are scheduled), every engine
+    draws from it in the per-gate order, per-domain histograms merge by
+    integer addition, and telemetry accumulates per domain and flushes
+    once from the caller — so any [jobs] count is bit-identical to the
+    [~jobs:1] reference. *)
 
 type params = {
   p1 : float; (* error probability per 1-qubit gate, per qubit *)
@@ -120,56 +130,155 @@ let counts_merge dst src =
 (* Single shots                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One noisy execution; returns (measured outcome, injected error count).
-   No telemetry — safe to call from pool workers. *)
-let run_shot_raw st params circuit =
-  let s = Statevector.init (Circuit.num_qubits circuit) in
-  let errors = ref 0 in
-  let random_pauli st q =
-    match Random.State.int st 3 with
-    | 0 -> Gate.X q
-    | 1 -> Gate.Y q
-    | _ -> Gate.Z q
-  in
-  Circuit.iter
-    (fun g ->
-      Statevector.apply s g;
-      let qs = Gate.qubits g in
-      let p = if List.length qs = 1 then params.p1 else params.p2 in
-      List.iter
-        (fun q ->
-          if Random.State.float st 1. < p then begin
-            incr errors;
-            Statevector.apply s (random_pauli st q)
-          end;
-          if params.gamma > 0. then begin
-            (* quantum-trajectory amplitude damping *)
-            let p_jump = params.gamma *. Statevector.prob_of_qubit s q in
-            let jump = Random.State.float st 1. < p_jump in
-            Statevector.amplitude_damp s q ~gamma:params.gamma ~jump
-          end)
-        qs)
-    circuit;
-  let outcome = Statevector.sample st s in
-  (* readout flips *)
-  let rec flip q acc =
-    if q >= Circuit.num_qubits circuit then acc
-    else
-      flip (q + 1)
-        (if Random.State.float st 1. < params.readout then acc lxor (1 lsl q) else acc)
-  in
-  (flip 0 outcome, !errors)
+(* A circuit as the shot loops read it: gates plus their qubit arrays,
+   converted once per batch. *)
+type prepared = { nq : int; gates : Gate.t array; touched : int array array }
 
-(** [run_shot st params circuit] simulates one noisy execution and returns
-    the measured basis state (all qubits, readout errors included). *)
+let prepare circuit =
+  let gates = Circuit.to_array circuit in
+  { nq = Circuit.num_qubits circuit; gates;
+    touched = Array.map (fun g -> Array.of_list (Gate.qubits g)) gates }
+
+(* The error draws after gate [i], shared by every engine: per touched
+   qubit one float, then [int 3] (0 = X, 1 = Y, 2 = Z) when it errs.
+   [on_qubit q] runs after each qubit's draw (amplitude damping). *)
+let draw_errors st params pc i ~pauli ~on_qubit =
+  let qs = pc.touched.(i) in
+  let p = if Array.length qs = 1 then params.p1 else params.p2 in
+  let e = ref 0 in
+  Array.iter
+    (fun q ->
+      if Random.State.float st 1. < p then begin
+        incr e;
+        pauli q (Random.State.int st 3)
+      end;
+      on_qubit q)
+    qs;
+  !e
+
+(* Readout: each of the [n] measured bits flips independently. *)
+let readout st params n x =
+  let x = ref x in
+  for q = 0 to n - 1 do
+    if Random.State.float st 1. < params.readout then x := !x lxor (1 lsl q)
+  done;
+  !x
+
+(* One outcome: a sample of the final state, then the readout flips. *)
+let measure st params n s = readout st params n (Statevector.sample st s)
+
+let pauli_gate q = function 0 -> Gate.X q | 1 -> Gate.Y q | _ -> Gate.Z q
+
+(* Per-gate trajectory: [s] (reset here) ends in the shot's final state;
+   returns the injected error count. No telemetry — safe to call from
+   pool workers. *)
+let trajectory_evolve s st params pc =
+  Statevector.reset s;
+  let errors = ref 0 in
+  let pauli q k = Statevector.apply s (pauli_gate q k) in
+  let on_qubit q =
+    if params.gamma > 0. then begin
+      (* quantum-trajectory amplitude damping *)
+      let p_jump = params.gamma *. Statevector.prob_of_qubit s q in
+      let jump = Random.State.float st 1. < p_jump in
+      Statevector.amplitude_damp s q ~gamma:params.gamma ~jump
+    end
+  in
+  Array.iteri
+    (fun i g ->
+      Statevector.apply s g;
+      errors := !errors + draw_errors st params pc i ~pauli ~on_qubit)
+    pc.gates;
+  !errors
+
+(** [run_shot st params circuit] simulates one noisy execution gate by
+    gate (the reference every engine is tested against) and returns the
+    measured basis state (all qubits, readout errors included). *)
 let run_shot st params circuit =
-  let result, errors = run_shot_raw st params circuit in
+  let pc = prepare circuit in
+  let s = Statevector.init pc.nq in
+  let errors = trajectory_evolve s st params pc in
+  let result = measure st params pc.nq s in
   if Obs.enabled () then begin
     Obs.count "qc.noise.shots";
     if errors > 0 then Obs.count ~by:errors "qc.noise.errors_injected";
     Obs.observe "qc.noise.errors_per_shot" (float_of_int errors)
   end;
   result
+
+(* ------------------------------------------------------------------ *)
+(* Phase-polynomial segments (non-Clifford circuits, gamma = 0)        *)
+(* ------------------------------------------------------------------ *)
+
+(* Without amplitude damping the drawn Paulis are just more gates:
+   X flips a parity's constant, Z adds a π term on the qubit's current
+   parity, Y does both (up to a global phase). So each shot splices its
+   errors into the gate stream and folds every maximal run of
+   CNOT/X/Y/Z/S/T/CZ/SWAP into one {!Phase_poly} region, applied by one
+   out-of-place sweep ({!Sv_kernels.apply_segment}); H and the non-affine
+   gates (Rz, Toffoli, MCX, CCZ, MCZ) go through the per-gate kernels.
+   An addeq:3 shot (17 qubits, 467 gates) becomes ~35 segment sweeps
+   plus its 44 H sweeps, instead of ~480 gate and error sweeps. *)
+
+(* Below this width a shot is too cheap for its per-region setup to pay
+   (EXPERIMENTS.md, E23): the per-gate path stays. *)
+let segment_min_qubits = 8
+
+(* A gate plus the Z errors on its qubits add at most this many parities
+   (CZ: three, then one per qubit). *)
+let max_new_terms = 5
+
+(* [r] starts empty and every flush empties it again. *)
+let segment_evolve s scr r st params pc =
+  Statevector.reset s;
+  let flush () =
+    let masks = ref [] and eighths = ref [] in
+    List.iter
+      (fun (l, (t : Phase_poly.term)) ->
+        let e = t.eighths land 7 in
+        if e <> 0 then begin
+          masks := l :: !masks;
+          eighths := e :: !eighths
+        end)
+      (Phase_poly.terms r);
+    let offset = Phase_poly.offset r in
+    if !masks <> [] || offset <> 0 || not (Phase_poly.is_linear_identity r) then
+      Sv_kernels.apply_segment s scr
+        (Sv_kernels.segment ~sb:s.Sv_shard.sb ~inv:r.Phase_poly.inv ~offset
+           ~masks:(Array.of_list !masks) ~eighths:(Array.of_list !eighths));
+    Phase_poly.reset r
+  in
+  let z q = Phase_poly.add_phase r q ~eighths:4 ~angle:0. in
+  let pauli q = function
+    | 0 -> Phase_poly.x r q
+    | 1 ->
+        z q;
+        Phase_poly.x r q
+    | _ -> z q
+  in
+  let errors = ref 0 in
+  Array.iteri
+    (fun i g ->
+      if Phase_poly.term_count r > Sv_kernels.max_segment_terms - max_new_terms then flush ();
+      let phase q e = Phase_poly.add_phase r q ~eighths:e ~angle:0. in
+      (match g with
+      | Gate.X q -> Phase_poly.x r q
+      | Gate.Y q -> pauli q 1
+      | Gate.Z q -> z q
+      | Gate.S q -> phase q 2
+      | Gate.Sdg q -> phase q 6
+      | Gate.T q -> phase q 1
+      | Gate.Tdg q -> phase q 7
+      | Gate.Cnot (c, t) -> Phase_poly.cnot r c t
+      | Gate.Cz (a, b) -> Phase_poly.cz r a b
+      | Gate.Swap (a, b) -> Phase_poly.swap r a b
+      | Gate.H _ | Gate.Rz _ | Gate.Ccx _ | Gate.Ccz _ | Gate.Mcx _ | Gate.Mcz _ ->
+          flush ();
+          Statevector.apply s g);
+      errors := !errors + draw_errors st params pc i ~pauli ~on_qubit:ignore)
+    pc.gates;
+  flush ();
+  !errors
 
 (* ------------------------------------------------------------------ *)
 (* Shot batches                                                        *)
@@ -212,18 +321,20 @@ let frame_applies params circuit =
   && Stabilizer.is_clifford_circuit circuit
 
 (* Shot [i] draws from [Rng.shot_state ~seed i] in exactly the order of
-   [run_shot_raw]: per gate and touched qubit one float, then [int 3]
-   on an error; one float for the sample; [n] readout floats. So shot
-   [i] reproduces [run_shot] bit for bit whenever the ideal output is a
-   basis state, and matches it in distribution otherwise. *)
-let frame_shots ~seed params circuit ~shots errors =
-  let n = Circuit.num_qubits circuit in
+   the per-gate path ({!draw_errors}, then one float for the sample and
+   [n] readout floats). So shot [i] reproduces [run_shot] bit for bit
+   whenever the ideal output is a basis state, and matches it in
+   distribution otherwise. *)
+let frame_shots ~seed params circuit pc ~shots errors =
   let support = Stabilizer.z_support (Stabilizer.run circuit) in
   let k = Array.length support.Stabilizer.basis in
-  let gates = Circuit.to_array circuit in
-  let qubits = Array.map (fun g -> Array.of_list (Gate.qubits g)) gates in
   let f = { Stabilizer.fx = 0; fz = 0 } in
-  let c = counts_make n in
+  let pauli q kind =
+    let b = 1 lsl q in
+    if kind <> 2 then f.fx <- f.fx lxor b;
+    if kind <> 0 then f.fz <- f.fz lxor b
+  in
+  let c = counts_make pc.nq in
   for shot = 0 to shots - 1 do
     let st = Rng.shot_state ~seed shot in
     f.fx <- 0;
@@ -232,42 +343,70 @@ let frame_shots ~seed params circuit ~shots errors =
     Array.iteri
       (fun i g ->
         Stabilizer.frame_conjugate f g;
-        let qs = qubits.(i) in
-        let p = if Array.length qs = 1 then params.p1 else params.p2 in
-        Array.iter
-          (fun q ->
-            if Random.State.float st 1. < p then begin
-              incr e;
-              let b = 1 lsl q in
-              match Random.State.int st 3 with
-              | 0 -> f.fx <- f.fx lxor b
-              | 1 ->
-                  f.fx <- f.fx lxor b;
-                  f.fz <- f.fz lxor b
-              | _ -> f.fz <- f.fz lxor b
-            end)
-          qs)
-      gates;
+        e := !e + draw_errors st params pc i ~pauli ~on_qubit:ignore)
+      pc.gates;
     (* r < 1, so r * 2^k < 2^k <= 2^62 fits an int; [1 lsl k] would not *)
     let m = int_of_float (Float.ldexp (Random.State.float st 1.) k) in
-    let x = ref (Stabilizer.support_nth support m lxor f.fx) in
-    for q = 0 to n - 1 do
-      if Random.State.float st 1. < params.readout then x := !x lxor (1 lsl q)
-    done;
-    counts_add c !x 1;
+    counts_add c (readout st params pc.nq (Stabilizer.support_nth support m lxor f.fx)) 1;
     errors.(shot) <- !e
   done;
   c
 
+(* ------------------------------------------------------------------ *)
+(* Engines                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** How {!run_shots} executes a batch; {!engine_for} picks one from the
+    parameters and the circuit alone. *)
+type engine =
+  | Noiseless (* no gate noise: one shared simulation, sampled per shot *)
+  | Frame (* Clifford, gamma = 0: Pauli frames over one tableau *)
+  | Segment (* gamma = 0, >= segment_min_qubits: phase-polynomial sweeps *)
+  | Trajectory (* everything else: per-gate statevector trajectories *)
+
+let engine_name = function
+  | Noiseless -> "noiseless"
+  | Frame -> "frame"
+  | Segment -> "segment"
+  | Trajectory -> "trajectory"
+
+let engine_for params circuit =
+  if params.p1 = 0. && params.p2 = 0. && params.gamma = 0. then Noiseless
+  else if frame_applies params circuit then Frame
+  else if params.gamma = 0. && Circuit.num_qubits circuit >= segment_min_qubits then Segment
+  else Trajectory
+
+(* One worker chunk's evolution: the state, and for segments the scratch
+   slabs and the region, are allocated here once and dropped with the
+   chunk — nothing is retained across batches. *)
+let evolver engine params pc =
+  let s = Statevector.init pc.nq in
+  match engine with
+  | Segment ->
+      let scr = Sv_kernels.scratch_for s and r = Phase_poly.create pc.nq in
+      (s, fun st -> segment_evolve s scr r st params pc)
+  | Noiseless | Frame | Trajectory -> (s, fun st -> trajectory_evolve s st params pc)
+
+(** [final_state engine st params circuit] is one shot's state before
+    measurement and its injected error count, on the statevector
+    engines ([Segment] or [Trajectory]; the others have no per-shot
+    state). Segment states match trajectory states up to global phase. *)
+let final_state engine st params circuit =
+  let pc = prepare circuit in
+  let s, evolve = evolver engine params pc in
+  (s, evolve st)
+
 (** [run_shots ?seed ?jobs params circuit ~shots] returns the histogram of
-    measured basis states over [shots] executions. Three engines, chosen
-    from the parameters and the circuit alone: noiseless parameters
-    sample one shared simulation; Clifford circuits without amplitude
-    damping (up to {!Stabilizer.max_frame_qubits} qubits) carry a Pauli
-    frame per shot and allocate no statevector; everything else runs
-    per-gate trajectories fanned out over [jobs] worker domains (default
-    {!Par.default_jobs}). The histogram is bit-identical for every
-    [jobs] value: [~jobs:1] defines the reference result. *)
+    measured basis states over [shots] executions, on the {!engine_for}
+    engine: noiseless parameters sample one shared simulation; Clifford
+    circuits without amplitude damping (up to
+    {!Stabilizer.max_frame_qubits} qubits) carry a Pauli frame per shot
+    and allocate no statevector; other circuits without amplitude
+    damping run phase-polynomial segments; everything else runs
+    per-gate trajectories. Segment and trajectory shots fan out over
+    [jobs] worker domains (default {!Par.default_jobs}). The histogram
+    is bit-identical for every [jobs] value: [~jobs:1] defines the
+    reference result. *)
 let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
   Obs.with_span "qc.noise.run_shots" @@ fun () ->
   let n = Circuit.num_qubits circuit in
@@ -275,63 +414,55 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
     let j = match jobs with Some j -> max 1 j | None -> Par.default_jobs () in
     min j (max 1 shots)
   in
-  let noiseless = params.p1 = 0. && params.p2 = 0. && params.gamma = 0. in
-  let frame = (not noiseless) && frame_applies params circuit in
+  let engine = engine_for params circuit in
   if Obs.enabled () then
     Obs.add_attrs
       [ ("shots", Obs.Int shots); ("qubits", Obs.Int n); ("jobs", Obs.Int jobs);
-        ( "engine",
-          Obs.Str (if noiseless then "noiseless" else if frame then "frame" else "trajectory")
-        ) ];
+        ("engine", Obs.Str (engine_name engine)) ];
   let errors = Array.make (max 1 shots) 0 in
-  let counts =
-    if noiseless then begin
-      (* Without gate noise every shot runs the same circuit: simulate
-         once (memoized across calls — one plan, one sampler CDF), then
-         draw each readout from the shared cumulative table (binary
-         search instead of a 2^n scan per shot). Still seeded per shot,
-         so the result is jobs-independent like the general path. *)
-      let smp = sampler_for circuit in
-      let c = counts_make n in
-      for shot = 0 to shots - 1 do
+  (* shots [lo, hi) into [c], per-shot error counts at their indices *)
+  let chunk pc lo hi c =
+    if hi > lo then begin
+      let s, evolve = evolver engine params pc in
+      for shot = lo to hi - 1 do
         let st = Rng.shot_state ~seed shot in
-        let x = Statevector.sample_with smp st in
-        let x = ref x in
-        for q = 0 to n - 1 do
-          if Random.State.float st 1. < params.readout then x := !x lxor (1 lsl q)
+        errors.(shot) <- evolve st;
+        counts_add c (measure st params n s) 1
+      done
+    end;
+    c
+  in
+  let counts =
+    match engine with
+    | Noiseless ->
+        (* Without gate noise every shot runs the same circuit: simulate
+           once (memoized across calls — one plan, one sampler CDF), then
+           draw each readout from the shared cumulative table (binary
+           search instead of a 2^n scan per shot). Still seeded per shot,
+           so the result is jobs-independent like the general path. *)
+        let smp = sampler_for circuit in
+        let c = counts_make n in
+        for shot = 0 to shots - 1 do
+          let st = Rng.shot_state ~seed shot in
+          counts_add c (readout st params n (Statevector.sample_with smp st)) 1
         done;
-        counts_add c !x 1
-      done;
-      c
-    end
-    else if frame then
-      (* ~4 µs per shot: cheaper sequential than through a pool *)
-      frame_shots ~seed params circuit ~shots errors
-    else if jobs = 1 then begin
-      let c = counts_make n in
-      for shot = 0 to shots - 1 do
-        let x, e = run_shot_raw (Rng.shot_state ~seed shot) params circuit in
-        counts_add c x 1;
-        errors.(shot) <- e
-      done;
-      c
-    end
-    else
-      (* Chunk the shot range; each task accumulates a private histogram
-         (and per-shot error counts at disjoint indices), then the chunks
-         merge in index order on the calling domain. *)
-      Par.with_pool ~jobs (fun pool ->
-          Par.map_reduce pool ~tasks:jobs
-            ~map:(fun i ->
-              let lo = shots * i / jobs and hi = shots * (i + 1) / jobs in
-              let local = counts_make n in
-              for shot = lo to hi - 1 do
-                let x, e = run_shot_raw (Rng.shot_state ~seed shot) params circuit in
-                counts_add local x 1;
-                errors.(shot) <- e
-              done;
-              local)
-            ~reduce:counts_merge ~init:(counts_make n))
+        c
+    | Frame ->
+        (* ~4 µs per shot: cheaper sequential than through a pool *)
+        frame_shots ~seed params circuit (prepare circuit) ~shots errors
+    | Segment | Trajectory ->
+        let pc = prepare circuit in
+        if jobs = 1 then chunk pc 0 shots (counts_make n)
+        else
+          (* Chunk the shot range; each task accumulates a private
+             histogram (and per-shot error counts at disjoint indices),
+             then the chunks merge in index order on the calling
+             domain. *)
+          Par.with_pool ~jobs (fun pool ->
+              Par.map_reduce pool ~tasks:jobs
+                ~map:(fun i ->
+                  chunk pc (shots * i / jobs) (shots * (i + 1) / jobs) (counts_make n))
+                ~reduce:counts_merge ~init:(counts_make n))
   in
   (* telemetry accumulated above, flushed once from the calling domain —
      workers never touch the (single-domain) Obs state *)

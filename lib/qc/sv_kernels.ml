@@ -42,6 +42,8 @@ let run_slabs s f =
    variables are re-read from the closure environment each iteration.
    Each segment writes a disjoint index slice, so any worker count
    computes bit-identical amplitudes (Par's contract). *)
+let sqrt2inv = 1. /. sqrt 2.
+
 let seg_1q re im bit (m00 : Complex.t) (m01 : Complex.t) (m10 : Complex.t)
     (m11 : Complex.t) lo hi =
   let x = ref lo in
@@ -92,6 +94,57 @@ let apply_1q s q (m00 : Complex.t) (m01 : Complex.t) (m10 : Complex.t)
           seg_1q_pair s.sl_re.(sl) s.sl_im.(sl)
             s.sl_re.(sl lor hb) s.sl_im.(sl lor hb)
             m00 m01 m10 m11 0 (slab_size s))
+  end
+
+(* Hadamard over pair indices [lo, hi) of [0, 2^(n-1)): pair [p] is
+   [(x, x lor bit)] with a zero spliced in at [bit], so the loop has no
+   skip test. [s·a ± s·b] rounds exactly like {!seg_1q} with the H
+   matrix, whose zero imaginary entries only add exact zeros. *)
+let seg_h (re : float array) (im : float array) bit lo hi =
+  let low = bit - 1 in
+  for p = lo to hi - 1 do
+    let x = ((p land lnot low) lsl 1) lor (p land low) in
+    let y = x lor bit in
+    let ar = sqrt2inv *. re.(x) and ai = sqrt2inv *. im.(x) in
+    let br = sqrt2inv *. re.(y) and bi = sqrt2inv *. im.(y) in
+    re.(x) <- ar +. br;
+    im.(x) <- ai +. bi;
+    re.(y) <- ar -. br;
+    im.(y) <- ai -. bi
+  done
+
+(* Cross-slab Hadamard: same stores as {!seg_h}, partners at the same
+   local offset of two slabs. *)
+let seg_h_pair (are : float array) (aim : float array) (bre : float array)
+    (bim : float array) lo hi =
+  for x = lo to hi - 1 do
+    let ar = sqrt2inv *. are.(x) and ai = sqrt2inv *. aim.(x) in
+    let br = sqrt2inv *. bre.(x) and bi = sqrt2inv *. bim.(x) in
+    are.(x) <- ar +. br;
+    aim.(x) <- ai +. bi;
+    bre.(x) <- ar -. br;
+    bim.(x) <- ai -. bi
+  done
+
+let apply_h s q =
+  let bit = 1 lsl q in
+  if not (sharded s) then begin
+    let re = s.sl_re.(0) and im = s.sl_im.(0) in
+    let pairs = size s / 2 in
+    if 2 * pairs <= par_threshold then seg_h re im bit 0 pairs
+    else
+      Par.parallel_for (Par.global ()) ~start:0 ~stop:pairs (fun lo hi ->
+          seg_h re im bit lo hi)
+  end
+  else if q < s.sb then
+    run_slabs s (fun sl -> seg_h s.sl_re.(sl) s.sl_im.(sl) bit 0 (slab_size s / 2))
+  else begin
+    let hb = 1 lsl (q - s.sb) in
+    run_slabs s (fun sl ->
+        if sl land hb = 0 then
+          seg_h_pair s.sl_re.(sl) s.sl_im.(sl)
+            s.sl_re.(sl lor hb) s.sl_im.(sl lor hb)
+            0 (slab_size s))
   end
 
 (* Pair kernels visit each (x, x lxor tbit) pair once via the tbit = 0
@@ -232,9 +285,6 @@ let c0 = Complex.zero
 let ci = Complex.i
 let cm1 = Complex.{ re = -1.; im = 0. }
 let cmi = Complex.{ re = 0.; im = -1. }
-let sqrt2inv = 1. /. sqrt 2.
-let ch = Complex.{ re = sqrt2inv; im = 0. }
-let chm = Complex.{ re = -.sqrt2inv; im = 0. }
 let omega = Complex.{ re = sqrt2inv; im = sqrt2inv } (* e^{iπ/4} *)
 let omega_bar = Complex.{ re = sqrt2inv; im = -.sqrt2inv }
 
@@ -257,7 +307,7 @@ let apply s (g : Gate.t) =
       let bit = 1 lsl q in
       phase_on s ~mask:bit ~want:0 Complex.{ re = cos h; im = -.sin h };
       phase_on s ~mask:bit ~want:bit Complex.{ re = cos h; im = sin h }
-  | Gate.H q -> apply_1q s q ch ch ch chm
+  | Gate.H q -> apply_h s q
   | Gate.Cnot (c, t) -> swap_pairs s ~mask:(1 lsl c) ~want:(1 lsl c) ~tbit:(1 lsl t)
   | Gate.Cz (a, b) ->
       let m = (1 lsl a) lor (1 lsl b) in
@@ -512,6 +562,183 @@ let apply_sweep s sw =
         seg_phase_sweep_base s.sl_re.(sl) s.sl_im.(sl) sw.lo_re sw.lo_im
           sw.hi_re sw.hi_im sw.half_mask sw.h sw.straddling (sl lsl s.sb) 0
           (slab_size s))
+
+(* --- affine phase-polynomial segments --- *)
+
+(* One region of {!Phase_poly}: |x⟩ ↦ ω^(Σ e_k·(l_k·x)) |A·x ⊕ b⟩ with
+   ω = e^{iπ/4}, applied out of place. Output [y] reads source
+   [x = A⁻¹·(y ⊕ b)], which is linear in [y] up to the constant
+   [x0 = A⁻¹·b], and so is the term word [t(x)] (bit k = l_k·x). A
+   block of 2^lb outputs steps both by XORing precomputed low-bit
+   deltas onto the block's base; the phase exponent is a sum of per-byte
+   mod-8 tables over the term word. *)
+type segment = {
+  lb : int; (* low output bits stepped through [dx]/[dt] *)
+  cols : int array; (* cols.(j): source delta of output bit j (A⁻¹ column) *)
+  tcols : int array; (* term-word delta of output bit j *)
+  x0 : int;
+  t0 : int;
+  dx : int array; (* source deltas of the 2^lb low output patterns *)
+  dt : int array; (* term-word deltas of the same *)
+  ptab : int array; (* per term byte: Σ e_k over its set bits, mod 8 *)
+}
+
+(** The term word is one int: at most this many phase terms per
+    segment. *)
+let max_segment_terms = 62
+
+(* ω^p at [2p] (re) and [2p + 1] (im), p = 0..7: the per-gate constants *)
+let omega_ri =
+  [| 1.; 0.; sqrt2inv; sqrt2inv; 0.; 1.; -.sqrt2inv; sqrt2inv; -1.; 0.; -.sqrt2inv;
+     -.sqrt2inv; 0.; -1.; sqrt2inv; -.sqrt2inv |]
+
+let parity v =
+  let v = v lxor (v lsr 32) in
+  let v = v lxor (v lsr 16) in
+  let v = v lxor (v lsr 8) in
+  let v = v lxor (v lsr 4) in
+  let v = v lxor (v lsr 2) in
+  (v lxor (v lsr 1)) land 1
+
+(* Fill [tab.(base + m)] for m < 2^bits with [col j] combined over the
+   set bits j of m — by doubling, one op per entry. *)
+let fill_span tab base bits col combine =
+  tab.(base) <- 0;
+  for j = 0 to bits - 1 do
+    let h = 1 lsl j in
+    for m = 0 to h - 1 do
+      tab.(base + h + m) <- combine tab.(base + m) (col j)
+    done
+  done
+
+(** [segment ~sb ~inv ~offset ~masks ~eighths] prepares a sweep for
+    a state with slab bits [sb]: [inv] holds the columns of A⁻¹,
+    [offset] is [b], and term [k] is [eighths.(k)]·([masks.(k)]·x),
+    at most {!max_segment_terms} of them. *)
+let segment ~sb ~inv ~offset ~(masks : int array) ~(eighths : int array) =
+  let k = Array.length masks in
+  if k > max_segment_terms then invalid_arg "Sv_kernels.segment: too many terms";
+  let tword v =
+    let w = ref 0 in
+    for i = 0 to k - 1 do
+      if parity (masks.(i) land v) = 1 then w := !w lor (1 lsl i)
+    done;
+    !w
+  in
+  let n = Array.length inv in
+  let cols = Array.copy inv in
+  let tcols = Array.map tword cols in
+  let x0 = ref 0 in
+  for j = 0 to n - 1 do
+    if offset land (1 lsl j) <> 0 then x0 := !x0 lxor cols.(j)
+  done;
+  let lb = min 6 sb in
+  let dx = Array.make (1 lsl lb) 0 and dt = Array.make (1 lsl lb) 0 in
+  fill_span dx 0 lb (Array.get cols) ( lxor );
+  fill_span dt 0 lb (Array.get tcols) ( lxor );
+  (* 256 entries per full byte of the term word, 2^bits for the last;
+     at most 8 terms index one table of 2^k (k = 0: the single entry 0) *)
+  let bytes = (k + 7) / 8 in
+  let last = k - (8 * max 0 (bytes - 1)) in
+  let ptab = Array.make ((256 * max 0 (bytes - 1)) + (1 lsl last)) 0 in
+  for b = 0 to bytes - 1 do
+    let e j = eighths.((8 * b) + j) in
+    fill_span ptab (256 * b) (min 8 (k - (8 * b))) e (fun a v -> (a + v) land 7)
+  done;
+  { lb; cols; tcols; x0 = !x0; t0 = tword !x0; dx; dt; ptab }
+
+(* XOR of [cols.(j0 + i)] over the set bits i of [v]: a block's base. *)
+let xor_span (cols : int array) v j0 =
+  let acc = ref 0 and v = ref v and j = ref j0 in
+  while !v <> 0 do
+    if !v land 1 = 1 then acc := !acc lxor Array.unsafe_get cols !j;
+    v := !v lsr 1;
+    incr j
+  done;
+  !acc
+
+(* Flat sweep over output blocks [blo, bhi) of 2^lb amplitudes, for
+   segments of at most 8 terms: one table lookup per amplitude. The loop
+   makes no calls — a call would make the compiler spill its registers
+   around it, which costs a third of the sweep. *)
+let seg_affine (ire : float array) (iim : float array) (ore : float array)
+    (oim : float array) sg blo bhi =
+  let lb = sg.lb and dx = sg.dx and dt = sg.dt and ptab = sg.ptab in
+  for blk = blo to bhi - 1 do
+    let y0 = blk lsl lb in
+    let xb = sg.x0 lxor xor_span sg.cols blk lb
+    and tb = sg.t0 lxor xor_span sg.tcols blk lb in
+    for m = 0 to (1 lsl lb) - 1 do
+      let x = xb lxor Array.unsafe_get dx m in
+      let p = 2 * Array.unsafe_get ptab (tb lxor Array.unsafe_get dt m) in
+      let wr = Array.unsafe_get omega_ri p and wi = Array.unsafe_get omega_ri (p + 1) in
+      let r = Array.unsafe_get ire x and i = Array.unsafe_get iim x in
+      Array.unsafe_set ore (y0 + m) ((wr *. r) -. (wi *. i));
+      Array.unsafe_set oim (y0 + m) ((wr *. i) +. (wi *. r))
+    done
+  done
+
+(* The general sweep: any term count (one lookup per byte of the term
+   word), sources read through slabs of 2^sb. Output blocks [blo, bhi)
+   of the slab whose first global index is [ybase]. Same arithmetic as
+   {!seg_affine}. *)
+let seg_affine_sh (ire : float array array) (iim : float array array) sb
+    (ore : float array) (oim : float array) sg ybase blo bhi =
+  let lb = sg.lb and smask = (1 lsl sb) - 1 and dx = sg.dx and dt = sg.dt in
+  let ptab = sg.ptab in
+  for blk = blo to bhi - 1 do
+    let y0 = blk lsl lb in
+    let gblk = (ybase lor y0) lsr lb in
+    let xb = sg.x0 lxor xor_span sg.cols gblk lb
+    and tb = sg.t0 lxor xor_span sg.tcols gblk lb in
+    for m = 0 to (1 lsl lb) - 1 do
+      let x = xb lxor Array.unsafe_get dx m in
+      let t = ref (tb lxor Array.unsafe_get dt m) and p = ref 0 and o = ref 0 in
+      while !t <> 0 do
+        p := !p + Array.unsafe_get ptab (!o + (!t land 255));
+        t := !t lsr 8;
+        o := !o + 256
+      done;
+      let p = 2 * (!p land 7) in
+      let wr = Array.unsafe_get omega_ri p and wi = Array.unsafe_get omega_ri (p + 1) in
+      let sre : float array = Array.unsafe_get ire (x lsr sb)
+      and sim : float array = Array.unsafe_get iim (x lsr sb) in
+      let r = Array.unsafe_get sre (x land smask) and i = Array.unsafe_get sim (x land smask) in
+      Array.unsafe_set ore (y0 + m) ((wr *. r) -. (wi *. i));
+      Array.unsafe_set oim (y0 + m) ((wr *. i) +. (wi *. r))
+    done
+  done
+
+(** A slab set the shape of a state's, for out-of-place kernels. *)
+type scratch = { mutable x_re : float array array; mutable x_im : float array array }
+
+let scratch_for s =
+  { x_re = alloc_slabs ~slabs:(slab_count s) ~slab_size:(slab_size s);
+    x_im = alloc_slabs ~slabs:(slab_count s) ~slab_size:(slab_size s) }
+
+(** [apply_segment s scr sg] applies the segment through [scr] and swaps
+    the slab sets, so [scr] holds the old amplitudes afterwards. Every
+    output amplitude is one complex multiply of one source amplitude, so
+    any chunking by output index is bit-identical. *)
+let apply_segment s scr sg =
+  let ire = s.sl_re and iim = s.sl_im in
+  let blocks = slab_size s lsr sg.lb in
+  (if not (sharded s) then begin
+     let ore = scr.x_re.(0) and oim = scr.x_im.(0) in
+     let seg =
+       if Array.length sg.ptab <= 256 then seg_affine ire.(0) iim.(0) ore oim sg
+       else seg_affine_sh ire iim s.sb ore oim sg 0
+     in
+     if size s <= par_threshold then seg 0 blocks
+     else Par.parallel_for (Par.global ()) ~start:0 ~stop:blocks seg
+   end
+   else
+     run_slabs s (fun sl ->
+         seg_affine_sh ire iim s.sb scr.x_re.(sl) scr.x_im.(sl) sg (sl lsl s.sb) 0 blocks));
+  s.sl_re <- scr.x_re;
+  s.sl_im <- scr.x_im;
+  scr.x_re <- ire;
+  scr.x_im <- iim
 
 (* Qubit of a 1-qubit gate, or -1 for multi-qubit gates. *)
 let q1_of = function

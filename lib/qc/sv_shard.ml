@@ -135,6 +135,13 @@ let init n =
   if slabs > 1 && Obs.enabled () then Obs.count ~by:slabs "sv.shard.slabs";
   s
 
+(** [reset s] returns [s] to |0…0⟩ in place: a zero fill, no allocation
+    (trajectory batches reuse one state across their shots). *)
+let reset s =
+  Array.iter (fun a -> Array.fill a 0 (Array.length a) 0.) s.sl_re;
+  Array.iter (fun a -> Array.fill a 0 (Array.length a) 0.) s.sl_im;
+  s.sl_re.(0).(0) <- 1.
+
 (* All-zero flat scratch state (single slab regardless of the override):
    the plan builder simulates tiny basis columns on these. *)
 let make_flat n =

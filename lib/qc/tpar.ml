@@ -13,17 +13,6 @@
 
 open Gate
 
-(* Parity encoding: bit q (q < n) = input variable of qubit q for the
-   current region; bit n = the constant 1. *)
-
-type pending = {
-  mutable eighths : int; (* multiples of π/4, mod 8 (T = 1) *)
-  mutable angle : float; (* accumulated Rz angle *)
-  position : int; (* skeleton index where this parity first appeared *)
-  qubit : int; (* a qubit holding the parity at that position *)
-  neg_at_first : bool; (* constant bit of the parity at first sight *)
-}
-
 let phase_gates_of ~eighths ~angle q =
   let k = ((eighths mod 8) + 8) mod 8 in
   let cliffordish =
@@ -41,103 +30,73 @@ let phase_gates_of ~eighths ~angle q =
   if Float.abs angle > 1e-12 then cliffordish @ [ Rz (angle, q) ] else cliffordish
 
 (** [optimize c] returns a circuit computing the same unitary as [c] up to
-    global phase, with phase rotations on equal parities merged. *)
+    global phase, with phase rotations on equal parities merged. The
+    region bookkeeping is {!Phase_poly}; this pass adds the skeleton (the
+    region's CNOT/X and diagonal multi-qubit gates, in order) and
+    re-emits each merged rotation where its parity first appeared. *)
 let optimize c =
   Obs.with_span "qc.tpar.optimize" @@ fun () ->
   let n = Circuit.num_qubits c in
   if n > 61 then invalid_arg "Tpar.optimize: parity bitmasks support at most 61 qubits";
-  let const_bit = 1 lsl n in
   let out = ref [] in
-  (* region state *)
-  let parity = Array.init n (fun q -> 1 lsl q) in
-  let skeleton = ref [] (* region CNOT/X gates, reversed *) in
-  let skeleton_len = ref 0 in
-  let pend : (int, pending) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] (* linear parts in first-seen order, reversed *) in
-  let note_parity q =
-    let p = parity.(q) in
-    let linear = p land lnot const_bit in
-    if linear <> 0 && not (Hashtbl.mem pend linear) then begin
-      Hashtbl.add pend linear
-        { eighths = 0; angle = 0.; position = !skeleton_len; qubit = q;
-          neg_at_first = p land const_bit <> 0 };
-      order := linear :: !order
-    end
-  in
+  let r = Phase_poly.create n in
+  let skeleton = ref [] (* region CNOT/X/diagonal gates, reversed *) in
   let reset_region () =
-    Array.iteri (fun q _ -> parity.(q) <- 1 lsl q) parity;
+    Phase_poly.reset r;
     skeleton := [];
-    skeleton_len := 0;
-    Hashtbl.reset pend;
-    order := [];
-    Array.iteri (fun q _ -> note_parity q) parity
+    for q = 0 to n - 1 do
+      Phase_poly.note r q
+    done
   in
   let flush () =
     (* interleave pending phase gates into the skeleton at their recorded
        positions *)
-    if Obs.enabled () && Hashtbl.length pend > 0 then begin
+    let count = Phase_poly.term_count r in
+    if Obs.enabled () && count > 0 then begin
       (* one phase-polynomial region: its partition size is the number of
          distinct parities carrying rotations *)
-      Obs.observe "qc.tpar.partition_size" (float_of_int (Hashtbl.length pend));
+      Obs.observe "qc.tpar.partition_size" (float_of_int count);
       Obs.count "qc.tpar.regions"
     end;
-    let inserts = Array.make (!skeleton_len + 1) [] in
+    let len = r.Phase_poly.steps in
+    let inserts = Array.make (len + 1) [] in
     List.iter
-      (fun linear ->
-        let p = Hashtbl.find pend linear in
+      (fun (_, (p : Phase_poly.term)) ->
         let eighths = if p.neg_at_first then -p.eighths else p.eighths in
         let angle = if p.neg_at_first then -.p.angle else p.angle in
         let gs = phase_gates_of ~eighths ~angle p.qubit in
         if gs <> [] then inserts.(p.position) <- inserts.(p.position) @ gs)
-      (List.rev !order);
+      (Phase_poly.terms r);
     let skel = Array.of_list (List.rev !skeleton) in
-    for i = 0 to !skeleton_len do
+    for i = 0 to len do
       List.iter (fun g -> out := g :: !out) inserts.(i);
-      if i < !skeleton_len then out := skel.(i) :: !out
+      if i < len then out := skel.(i) :: !out
     done
   in
-  let add_phase q ~eighths ~angle =
-    let p = parity.(q) in
-    let linear = p land lnot const_bit in
-    if linear = 0 then begin
-      (* parity is a constant: the rotation is a global phase (constant 1)
-         or identity (constant 0); either way nothing to emit. *)
-      ()
-    end
-    else begin
-      note_parity q;
-      let entry = Hashtbl.find pend linear in
-      (* contribution on the linear part flips sign with the constant *)
-      let sign = if p land const_bit <> 0 then -1 else 1 in
-      entry.eighths <- entry.eighths + (sign * eighths);
-      entry.angle <- entry.angle +. (Float.of_int sign *. angle)
-    end
-  in
+  let phase q eighths angle = Phase_poly.add_phase r q ~eighths ~angle in
   reset_region ();
   Circuit.iter
     (fun g ->
       match g with
       | Cnot (cq, t) ->
-          parity.(t) <- parity.(t) lxor parity.(cq);
+          Phase_poly.cnot r cq t;
           skeleton := g :: !skeleton;
-          incr skeleton_len;
-          note_parity t
+          Phase_poly.note r t
       | X q ->
-          parity.(q) <- parity.(q) lxor const_bit;
+          Phase_poly.x r q;
           skeleton := g :: !skeleton;
-          incr skeleton_len;
-          note_parity q
-      | Z q -> add_phase q ~eighths:4 ~angle:0.
-      | S q -> add_phase q ~eighths:2 ~angle:0.
-      | Sdg q -> add_phase q ~eighths:(-2) ~angle:0.
-      | T q -> add_phase q ~eighths:1 ~angle:0.
-      | Tdg q -> add_phase q ~eighths:(-1) ~angle:0.
-      | Rz (a, q) -> add_phase q ~eighths:0 ~angle:a
+          Phase_poly.note r q
+      | Z q -> phase q 4 0.
+      | S q -> phase q 2 0.
+      | Sdg q -> phase q (-2) 0.
+      | T q -> phase q 1 0.
+      | Tdg q -> phase q (-1) 0.
+      | Rz (a, q) -> phase q 0 a
       | Cz _ | Ccz _ | Mcz _ ->
           (* diagonal gates do not change any parity and commute with the
              folded phase rotations: pass through as skeleton *)
-          skeleton := g :: !skeleton;
-          incr skeleton_len
+          Phase_poly.step r;
+          skeleton := g :: !skeleton
       | g ->
           (* barrier: flush the region, emit the gate, start fresh *)
           flush ();

@@ -241,6 +241,57 @@ let test_persistence_corrupt_file () =
         (Rev.Rcircuit.structural_key written)
         (Rev.Rcircuit.structural_key rebuilt))
 
+(* A second process that attaches [dir], persists one entry and exits:
+   [test_cache.exe --append-child <dir>]. *)
+let append_child = "--append-child"
+
+let () =
+  match Sys.argv with
+  | [| _; flag; dir |] when flag = append_child ->
+      Cache.set_dir (Some dir);
+      ignore (Rev.Synth_cache.esop1 (Logic.Funcgen.majority 3));
+      Cache.set_dir None;
+      exit 0
+  | _ -> ()
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* This process restarts a stale cache.bin and keeps appending to it
+   while another process appends too. Restarting in place used to leave
+   this process writing at its own file offset, over the other process's
+   records; now both sets survive. Attaching a directory also must not
+   leak a descriptor per call. *)
+let test_two_processes () =
+  fresh ();
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "cache.bin" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc "dautoq-cache v0 old\njunk");
+      Cache.set_dir (Some dir);
+      let child =
+        Unix.create_process Sys.executable_name
+          [| Sys.executable_name; append_child; dir |]
+          Unix.stdin Unix.stdout Unix.stderr
+      in
+      Alcotest.(check bool) "child exits cleanly" true
+        (snd (Unix.waitpid [] child) = Unix.WEXITED 0);
+      let from_child = Cache.load_file path in
+      Alcotest.(check bool) "child persisted records" true (from_child <> []);
+      ignore (Rev.Synth_cache.esop1 (Logic.Funcgen.majority 5));
+      Cache.set_dir None;
+      let all = Cache.load_file path in
+      Alcotest.(check bool) "child's records survive this process's appends" true
+        (List.for_all (fun r -> List.mem r all) from_child);
+      Alcotest.(check bool) "this process's records follow them" true
+        (List.length all > List.length from_child);
+      if Sys.file_exists "/proc/self/fd" then begin
+        let before = open_fds () in
+        for _ = 1 to 20 do
+          Cache.set_dir (Some dir)
+        done;
+        Cache.set_dir None;
+        Alcotest.(check int) "no descriptor leaked" before (open_fds ())
+      end)
+
 let () =
   Alcotest.run "cache"
     [ ( "npn-replay",
@@ -257,4 +308,5 @@ let () =
           Alcotest.test_case "unwritable dir degrades in-memory" `Quick
             test_persistence_unwritable_dir;
           Alcotest.test_case "corrupt and stale files" `Quick
-            test_persistence_corrupt_file ] ) ]
+            test_persistence_corrupt_file;
+          Alcotest.test_case "two processes, restarted file" `Quick test_two_processes ] ) ]

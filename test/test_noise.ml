@@ -355,6 +355,155 @@ let test_engine_attr () =
     [ ("frame", Noise.ibm_qx2017, clifford); ("noiseless", Noise.noiseless, clifford);
       ("trajectory", Noise.ibm_qx2017, t); ("trajectory", Noise.ibm_qx2017_t1, clifford) ]
 
+(* --- phase-polynomial segment engine (non-Clifford, gamma = 0) --- *)
+
+let heavy = { Noise.p1 = 0.05; p2 = 0.1; readout = 0.02; gamma = 0. }
+
+(* Random circuits on 1-8 qubits over every gate kind the segment engine
+   folds or passes through; [h] in 26 draws is an H (a region break). *)
+let segment_circuit ?(h = 2) ~gates seed =
+  let st = Helpers.rng seed in
+  let n = 1 + Random.State.int st 8 in
+  let q () = Random.State.int st n in
+  let other a = (a + 1 + Random.State.int st (n - 1)) mod n in
+  let gate () =
+    let a = q () in
+    match Random.State.int st 26 with
+    | k when k < h -> Gate.H a
+    | k when n >= 3 && k < h + 2 ->
+        let b = other a in
+        let c = ref (other a) in
+        while !c = b do
+          c := other a
+        done;
+        Gate.Ccx (a, b, !c)
+    | k when n >= 2 && k < 14 -> (
+        let b = other a in
+        match k mod 3 with 0 -> Gate.Cnot (a, b) | 1 -> Gate.Cz (a, b) | _ -> Gate.Swap (a, b))
+    | k -> (
+        match k mod 9 with
+        | 0 -> Gate.X a
+        | 1 -> Gate.Y a
+        | 2 -> Gate.Z a
+        | 3 -> Gate.S a
+        | 4 -> Gate.Sdg a
+        | 5 | 6 -> Gate.T a
+        | 7 -> Gate.Tdg a
+        | _ -> Gate.Rz (0.3, a))
+  in
+  Circuit.of_gates n (List.init (1 + Random.State.int st gates) (fun _ -> gate ()))
+
+(* Shot [seed] on both statevector engines: equal up to global phase,
+   with the same number of injected errors. *)
+let engines_agree ?(params = heavy) c seed =
+  let a, ea = Noise.final_state Noise.Segment (Rng.shot_state ~seed 0) params c in
+  let b, eb = Noise.final_state Noise.Trajectory (Rng.shot_state ~seed 0) params c in
+  ea = eb && Statevector.equal_up_to_phase ~eps:1e-9 a b
+
+let prop_segment_matches_per_gate =
+  Helpers.prop "segment state = per-gate state up to phase" ~count:300
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let c = segment_circuit ~gates:120 seed in
+      List.for_all (engines_agree c) [ seed; seed + 1; seed + 2 ])
+
+let test_segment_long_regions () =
+  (* H-free runs long enough to need more than one term byte and to hit
+     the term-word limit mid-region; the slab-aware kernel (shard-bits 3)
+     must agree as well *)
+  let st = Helpers.rng 77 in
+  let n = 8 in
+  let gates =
+    List.init 900 (fun i ->
+        let a = Random.State.int st n in
+        if i mod 300 = 299 then Gate.H a
+        else if Random.State.bool st then Gate.Cnot (a, (a + 1 + Random.State.int st (n - 1)) mod n)
+        else Gate.T a)
+  in
+  let c = Circuit.of_gates n gates in
+  let r = Phase_poly.create n in
+  List.iter
+    (function
+      | Gate.Cnot (a, b) -> Phase_poly.cnot r a b
+      | Gate.T a -> Phase_poly.add_phase r a ~eighths:1 ~angle:0.
+      | _ -> ())
+    (List.filteri (fun i _ -> i < 299) gates);
+  Alcotest.(check bool) "first region exceeds the term word" true
+    (Phase_poly.term_count r > Sv_kernels.max_segment_terms);
+  List.iter
+    (fun sb ->
+      Statevector.set_shard_bits sb;
+      Fun.protect
+        ~finally:(fun () -> Statevector.set_shard_bits None)
+        (fun () ->
+          List.iter
+            (fun seed ->
+              Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (engines_agree c seed))
+            [ 1; 2; 3; 4 ]))
+    [ None; Some 3 ]
+
+(* The serve load generator's spec pool, compiled as the service does. *)
+let serve_pool () =
+  Array.map
+    (fun spec ->
+      fst
+        (Serve.compile_request ~level:0
+           { Serve.tenant = "t"; spec; pipeline = None; backend = "noisy"; shots = 48;
+             deadline_us = 0. }))
+    (Lazy.force Serve.Load.spec_pool)
+
+let test_segment_serve_pool () =
+  Array.iteri
+    (fun i c ->
+      let n = Circuit.num_qubits c in
+      let shots = if n >= 16 then 8 else 48 in
+      let params = Noise.ibm_qx2017 in
+      for shot = 0 to shots - 1 do
+        let st = Rng.shot_state ~seed:3 shot in
+        let s, _ = Noise.final_state Noise.Segment st params c in
+        Alcotest.(check int)
+          (Printf.sprintf "pool circuit %d (%d qubits) shot %d" i n shot)
+          (Noise.run_shot (Rng.shot_state ~seed:3 shot) params c)
+          (Noise.measure st params n s)
+      done)
+    (serve_pool ())
+
+let test_segment_jobs_shards () =
+  let c = (serve_pool ()).(8) in
+  Alcotest.(check bool) "runs on segments" true
+    (Noise.engine_for Noise.ibm_qx2017 c = Noise.Segment);
+  let run jobs sb =
+    Statevector.set_shard_bits sb;
+    Fun.protect
+      ~finally:(fun () -> Statevector.set_shard_bits None)
+      (fun () -> Noise.run_shots ~seed:5 ~jobs Noise.ibm_qx2017 c ~shots:64)
+  in
+  let reference = run 1 None in
+  Alcotest.(check bool) "equals the per-gate reference" true
+    (Noise.counts_equal reference (reference_counts ~seed:5 Noise.ibm_qx2017 c ~shots:64));
+  List.iter
+    (fun (jobs, sb) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d shard-bits=%s bit-identical" jobs
+           (match sb with None -> "auto" | Some b -> string_of_int b))
+        true
+        (Noise.counts_equal reference (run jobs sb)))
+    [ (4, None); (1, Some 3); (4, Some 3) ]
+
+let test_segment_engine_attr () =
+  let m = Obs.Memory.create () in
+  Obs.set_sink (Some (Obs.Memory.sink m));
+  ignore (Noise.run_shots Noise.ibm_qx2017 (serve_pool ()).(8) ~shots:4);
+  Obs.set_sink None;
+  let engine =
+    List.find_map
+      (function
+        | Obs.Span_end { name = "qc.noise.run_shots"; attrs; _ } -> List.assoc_opt "engine" attrs
+        | _ -> None)
+      (Obs.Memory.events m)
+  in
+  Alcotest.(check bool) "segment" true (engine = Some (Obs.Str "segment"))
+
 let () =
   Alcotest.run "noise"
     [ ( "noise",
@@ -380,4 +529,10 @@ let () =
           Alcotest.test_case "conjugation table" `Quick test_frame_conjugation_table;
           Alcotest.test_case "40-qubit run" `Quick test_frame_wide_run;
           Alcotest.test_case "other paths unchanged" `Quick test_other_paths_unchanged;
-          Alcotest.test_case "engine span attribute" `Quick test_engine_attr ] ) ]
+          Alcotest.test_case "engine span attribute" `Quick test_engine_attr ] );
+      ( "segment",
+        [ prop_segment_matches_per_gate;
+          Alcotest.test_case "long regions, wide term words" `Quick test_segment_long_regions;
+          Alcotest.test_case "serve pool matches run_shot" `Quick test_segment_serve_pool;
+          Alcotest.test_case "jobs x shard-bits" `Quick test_segment_jobs_shards;
+          Alcotest.test_case "engine span attribute" `Quick test_segment_engine_attr ] ) ]

@@ -159,44 +159,43 @@ let same_as_reference c =
 
 (* Random 1-6 qubit circuits over every gate kind. Rz angles come from a
    set closed under negation so that Rz pairs also cancel exactly. *)
-let any_gate_circuit_gen =
-  QCheck2.Gen.map
-    (fun seed ->
-      let st = Helpers.rng seed in
-      let n = 1 + Random.State.int st 6 in
-      let distinct k =
-        let a = Array.init n Fun.id in
-        for i = n - 1 downto 1 do
-          let j = Random.State.int st (i + 1) in
-          let t = a.(i) in
-          a.(i) <- a.(j);
-          a.(j) <- t
-        done;
-        Array.to_list (Array.sub a 0 k)
-      in
-      let gate () =
-        let q = Random.State.int st n in
-        match (Random.State.int st 16, distinct (min n 4)) with
-        | 0, _ -> Gate.H q
-        | 1, _ -> Gate.X q
-        | 2, _ -> Gate.Y q
-        | 3, _ -> Gate.Z q
-        | 4, _ -> Gate.S q
-        | 5, _ -> Gate.Sdg q
-        | 6, _ -> Gate.T q
-        | 7, _ -> Gate.Tdg q
-        | 8, _ -> Gate.Rz ([| 0.5; -0.5; 0.25; -0.25 |].(Random.State.int st 4), q)
-        | 9, a :: b :: _ -> Gate.Cnot (a, b)
-        | 10, a :: b :: _ -> Gate.Cz (a, b)
-        | 11, a :: b :: _ -> Gate.Swap (a, b)
-        | 12, a :: b :: c :: _ -> Gate.Ccx (a, b, c)
-        | 13, a :: b :: c :: _ -> Gate.Ccz (a, b, c)
-        | 14, t :: (_ :: _ as cs) -> Gate.Mcx (cs, t)
-        | 15, qs -> Gate.Mcz qs
-        | _ -> Gate.H q
-      in
-      Circuit.of_gates n (List.init (Random.State.int st 40) (fun _ -> gate ())))
-    QCheck2.Gen.(int_bound 1_000_000)
+let any_gate_circuit seed =
+  let st = Helpers.rng seed in
+  let n = 1 + Random.State.int st 6 in
+  let distinct k =
+    let a = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list (Array.sub a 0 k)
+  in
+  let gate () =
+    let q = Random.State.int st n in
+    match (Random.State.int st 16, distinct (min n 4)) with
+    | 0, _ -> Gate.H q
+    | 1, _ -> Gate.X q
+    | 2, _ -> Gate.Y q
+    | 3, _ -> Gate.Z q
+    | 4, _ -> Gate.S q
+    | 5, _ -> Gate.Sdg q
+    | 6, _ -> Gate.T q
+    | 7, _ -> Gate.Tdg q
+    | 8, _ -> Gate.Rz ([| 0.5; -0.5; 0.25; -0.25 |].(Random.State.int st 4), q)
+    | 9, a :: b :: _ -> Gate.Cnot (a, b)
+    | 10, a :: b :: _ -> Gate.Cz (a, b)
+    | 11, a :: b :: _ -> Gate.Swap (a, b)
+    | 12, a :: b :: c :: _ -> Gate.Ccx (a, b, c)
+    | 13, a :: b :: c :: _ -> Gate.Ccz (a, b, c)
+    | 14, t :: (_ :: _ as cs) -> Gate.Mcx (cs, t)
+    | 15, qs -> Gate.Mcz qs
+    | _ -> Gate.H q
+  in
+  Circuit.of_gates n (List.init (Random.State.int st 40) (fun _ -> gate ()))
+
+let any_gate_circuit_gen = QCheck2.Gen.(map any_gate_circuit (int_bound 1_000_000))
 
 let prop_opt_matches_reference =
   Helpers.prop "peephole equals the reference scan" ~count:500 any_gate_circuit_gen
@@ -261,6 +260,47 @@ let prop_opt_never_grows =
   Helpers.prop "peephole never grows" (Helpers.qcircuit_gen 3 20) (fun c ->
       Circuit.num_gates (Opt.simplify c) <= Circuit.num_gates c)
 
+(* T-par on the shared {!Phase_poly} IR must stay gate-for-gate what the
+   pass emitted before the IR was factored out of it (the pass-result
+   cache schemas depend on it). Digests of [structural_key] outputs, per
+   corpus entry as generated and after Clifford+T lowering, and over
+   1000 random any-gate circuits, recorded from the earlier pass. *)
+let tpar_digest c = Digest.to_hex (Digest.string (Circuit.structural_key (Tpar.optimize c)))
+
+let recorded_corpus =
+  [ ("dj:4", "bbfffc5cbc09a2437a882c0cff92deb5", "bbfffc5cbc09a2437a882c0cff92deb5");
+    ("dj:6", "a788006e6f9600f97536b2c00c66c1d7", "a788006e6f9600f97536b2c00c66c1d7");
+    ("bv:5:19", "1261b5771fb0a672c5a265f28574113f", "1261b5771fb0a672c5a265f28574113f");
+    ("bv:7:85", "fb1b44f116be66f80478f604cce8186f", "fb1b44f116be66f80478f604cce8186f");
+    ("ghz:8", "ce506daa38bfe4b81f65a7cd64a38993", "ce506daa38bfe4b81f65a7cd64a38993");
+    ("ghz:16", "cf231b78825bb6caeb8fee76b05eb839", "cf231b78825bb6caeb8fee76b05eb839");
+    ("qft:5", "aedd8e65886dcfe28e98d45ee067ef54", "e459ae89276fe81c74e9db393fa42975");
+    ("qft:8", "ee7155ea1ae85435426778fb65fd2227", "6a4af26fc8382e3216f431ff881cdf6b");
+    ("qpe:6", "022dcd5e20f3e3dabdccc6b2aa8ac622", "84a5ec426701d3783088d039b80ed979");
+    ("grover:4:5", "300b6d9af2bc603e459265bff841ef22", "fc1998a23d2401f2d700b0a6aa69f1c1");
+    ("grover:6:23", "4ccf6f32af1c4fce62a6db13985225fa", "bd127c9bdeb8e18ec0565fdd603e99b1");
+    ("adder:4", "c4c8053e5d44acd8cb823cb94b112477", "c4c8053e5d44acd8cb823cb94b112477");
+    ("cmp:8", "3763bb7d5fa146640a96a339c1630f48", "3763bb7d5fa146640a96a339c1630f48");
+    ("hwb:4", "48e4b8fed09bb55caae346fe37b9e13c", "48e4b8fed09bb55caae346fe37b9e13c");
+    ("hwb:6", "eeba2b6650f10efd108bd581cd34c33f", "eeba2b6650f10efd108bd581cd34c33f");
+    ("cliffordt:6:1", "9b0fc75fede624d950f9bdbb27e148e1", "9b0fc75fede624d950f9bdbb27e148e1");
+    ("cliffordt:10:2", "e817a74cd17d780e2a233b8b51d49b0b", "e817a74cd17d780e2a233b8b51d49b0b") ]
+
+let test_tpar_output_unchanged () =
+  List.iter
+    (fun (spec, raw_digest, lowered_digest) ->
+      let raw, _ = Corpus.build (Corpus.parse_entry spec) in
+      Alcotest.(check string) (spec ^ " as generated") raw_digest (tpar_digest raw);
+      Alcotest.(check string) (spec ^ " lowered") lowered_digest
+        (tpar_digest (fst (Clifford_t.compile raw))))
+    recorded_corpus;
+  let b = Buffer.create 4096 in
+  for seed = 0 to 999 do
+    Buffer.add_string b (Circuit.structural_key (Tpar.optimize (any_gate_circuit seed)))
+  done;
+  Alcotest.(check string) "1000 random circuits" "398e2b0e88a7fceebc11a402ad8a8029"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "tpar"
     [ ( "tpar",
@@ -274,6 +314,7 @@ let () =
           Alcotest.test_case "CCZ overlap folds 14->8" `Quick test_ccz_overlap_folding;
           Alcotest.test_case "diagonal pass-through" `Quick test_diagonal_passthrough;
           Alcotest.test_case "report" `Quick test_report_counts;
+          Alcotest.test_case "output unchanged on the shared IR" `Quick test_tpar_output_unchanged;
           prop_preserves_unitary;
           prop_never_increases_t;
           prop_idempotent_t_count ] );

@@ -1,17 +1,13 @@
-(* Compare two BENCH_pr*.json reports — bechamel runtimes by default,
+(* Compare two BENCH*.json reports — bechamel runtimes by default,
    corpus metric snapshots with --corpus — and optionally gate on
    regressions.
 
    Usage:
-     bench_diff [OLD.json NEW.json] [--corpus] [--fail-on-regression]
+     bench_diff OLD.json NEW.json [--corpus] [--fail-on-regression]
                 [--threshold m=frac[,m=frac...]] [--only PREFIX] [--json FILE]
 
-   With no paths the tool looks for BENCH_pr9.json and BENCH_pr10.json,
-   searching upward from the current directory (so it works both from the
-   repo root and from dune's build directories). Without
-   --fail-on-regression it is a report step, not a gate: missing files or
-   unparsable input print a note and exit 0, so wiring it after
-   `dune runtest` can never fail the build. With --fail-on-regression a
+   Both reports are named explicitly; a missing or unparsable one exits
+   2. Without --fail-on-regression the diff is a report; with it, a
    metric that worsens past its threshold exits 1.
 
    Thresholds are fractions of the old value: in corpus mode any metric
@@ -22,21 +18,11 @@
    `bench_diff --only sv_run_ --threshold runtime=0.1 --fail-on-regression`
    gates just the statevector kernel-plan runs.
 
-   Reports with a "serve" section (PR 10+) also contribute synthetic
+   Reports with a "serve" section also contribute synthetic
    rows named serve_load/<percentile> — the service's virtual-clock
    queue-wait and end-to-end latency percentiles — so
    `bench_diff --only serve_` tracks tail-latency drift across PRs the
    same way the runtime rows track kernel drift. *)
-
-let find_up name =
-  let rec search dir =
-    let candidate = Filename.concat dir name in
-    if Sys.file_exists candidate then Some candidate
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else search parent
-  in
-  search (Sys.getcwd ())
 
 let read_json path =
   let ic = open_in path in
@@ -178,7 +164,7 @@ type opts = {
 }
 
 let usage =
-  "usage: bench_diff [OLD.json NEW.json] [--corpus] [--fail-on-regression] \
+  "usage: bench_diff OLD.json NEW.json [--corpus] [--fail-on-regression] \
    [--threshold m=frac[,m=frac...]] [--only PREFIX] [--json FILE]"
 
 let parse_args argv =
@@ -222,64 +208,45 @@ let runtime_threshold_of_spec = function
 
 let () =
   let o = parse_args Sys.argv in
-  let explicit, old_path, new_path =
+  let old_path, new_path =
     match o.paths with
-    | [ op; np ] -> (true, Some op, Some np)
-    | [] -> (false, find_up "BENCH_pr9.json", find_up "BENCH_pr10.json")
+    | [ op; np ] -> (op, np)
     | _ ->
         prerr_endline usage;
         exit 2
   in
-  match (old_path, new_path) with
-  | None, _ | _, None ->
-      print_endline
-        "bench_diff: baseline or current BENCH json not found; run `dune exec \
-         bench/main.exe json` first (report skipped)"
-  | Some old_path, Some new_path -> (
-      let soft_fail msg =
-        (* default discovery stays a report step; explicit paths are a
-           user request and failures should be loud *)
-        if explicit || o.fail_on_regression then begin
-          Printf.eprintf "bench_diff: %s\n" msg;
-          exit 2
-        end
-        else Printf.printf "bench_diff: %s (report skipped)\n" msg
-      in
-      if o.corpus then begin
-        match (Corpus.read_snapshot old_path, Corpus.read_snapshot new_path) with
-        | exception (Sys_error msg | Obs.Json.Parse_error msg) -> soft_fail msg
-        | exception Corpus.Bad_snapshot msg ->
-            soft_fail (Printf.sprintf "bad corpus snapshot: %s" msg)
-        | old_s, new_s ->
-            let thresholds =
-              match o.threshold with
-              | None -> Corpus.Diff.default_thresholds
-              | Some spec -> (
-                  try Corpus.Diff.parse_thresholds spec
-                  with Corpus.Diff.Bad_threshold msg ->
-                    Printf.eprintf "bench_diff: %s\n" msg;
-                    exit 2)
-            in
-            let report = Corpus.Diff.diff ~thresholds old_s new_s in
-            Printf.printf "bench_diff: %s vs %s (corpus)\n" old_path new_path;
-            print_string (Corpus.Diff.render report);
-            Option.iter
-              (fun file ->
-                write_file file (Obs.Json.to_string (Corpus.Diff.to_json report)))
-              o.json_out;
-            if o.fail_on_regression && Corpus.Diff.has_regressions report then
-              exit 1
-      end
-      else
-        match (read_json old_path, read_json new_path) with
-        | exception (Sys_error msg | Obs.Json.Parse_error msg) -> soft_fail msg
-        | old_json, new_json ->
-            let runtime_threshold = runtime_threshold_of_spec o.threshold in
-            let regressions, json =
-              diff_benchmarks ~runtime_threshold ~only:o.only old_path new_path
-                old_json new_json
-            in
-            Option.iter
-              (fun file -> write_file file (Obs.Json.to_string json))
-              o.json_out;
-            if o.fail_on_regression && regressions <> [] then exit 1)
+  let fail msg =
+    Printf.eprintf "bench_diff: %s\n" msg;
+    exit 2
+  in
+  if o.corpus then begin
+    match (Corpus.read_snapshot old_path, Corpus.read_snapshot new_path) with
+    | exception (Sys_error msg | Obs.Json.Parse_error msg) -> fail msg
+    | exception Corpus.Bad_snapshot msg -> fail (Printf.sprintf "bad corpus snapshot: %s" msg)
+    | old_s, new_s ->
+        let thresholds =
+          match o.threshold with
+          | None -> Corpus.Diff.default_thresholds
+          | Some spec -> (
+              try Corpus.Diff.parse_thresholds spec
+              with Corpus.Diff.Bad_threshold msg -> fail msg)
+        in
+        let report = Corpus.Diff.diff ~thresholds old_s new_s in
+        Printf.printf "bench_diff: %s vs %s (corpus)\n" old_path new_path;
+        print_string (Corpus.Diff.render report);
+        Option.iter
+          (fun file -> write_file file (Obs.Json.to_string (Corpus.Diff.to_json report)))
+          o.json_out;
+        if o.fail_on_regression && Corpus.Diff.has_regressions report then exit 1
+  end
+  else
+    match (read_json old_path, read_json new_path) with
+    | exception (Sys_error msg | Obs.Json.Parse_error msg) -> fail msg
+    | old_json, new_json ->
+        let runtime_threshold = runtime_threshold_of_spec o.threshold in
+        let regressions, json =
+          diff_benchmarks ~runtime_threshold ~only:o.only old_path new_path old_json
+            new_json
+        in
+        Option.iter (fun file -> write_file file (Obs.Json.to_string json)) o.json_out;
+        if o.fail_on_regression && regressions <> [] then exit 1

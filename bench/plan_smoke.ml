@@ -28,13 +28,23 @@ let qasm =
   for q = 0 to 11 do
     Buffer.add_string b (Printf.sprintf "h q[%d];\n" q)
   done;
-  for _layer = 1 to 3 do
+  for layer = 1 to 3 do
     for q = 0 to 11 do
       Buffer.add_string b (Printf.sprintf "t q[%d];\n" q)
     done;
     for q = 0 to 10 do
       Buffer.add_string b (Printf.sprintf "cx q[%d],q[%d];\n" q (q + 1))
-    done
+    done;
+    (* Rz angles and Y/SWAP in the region, then a Toffoli that passes
+       through *)
+    for q = 0 to 11 do
+      if q mod 3 = layer mod 3 then
+        Buffer.add_string b
+          (Printf.sprintf "rz(%.3f) q[%d];\n" (0.1 *. float_of_int (q + layer)) q)
+    done;
+    Buffer.add_string b
+      (Printf.sprintf "y q[%d];\nswap q[%d],q[%d];\nccx q[%d],q[%d],q[%d];\n" layer layer
+         (layer + 5) layer (layer + 1) (layer + 7))
   done;
   for q = 0 to 11 do
     Buffer.add_string b (Printf.sprintf "h q[%d];\n" q)

@@ -213,68 +213,35 @@ let run_shot st params circuit =
 (* Without amplitude damping the drawn Paulis are just more gates:
    X flips a parity's constant, Z adds a π term on the qubit's current
    parity, Y does both (up to a global phase). So each shot splices its
-   errors into the gate stream and folds every maximal run of
-   CNOT/X/Y/Z/S/T/CZ/SWAP into one {!Phase_poly} region, applied by one
-   out-of-place sweep ({!Sv_kernels.apply_segment}); H and the non-affine
-   gates (Rz, Toffoli, MCX, CCZ, MCZ) go through the per-gate kernels.
-   An addeq:3 shot (17 qubits, 467 gates) becomes ~35 segment sweeps
-   plus its 44 H sweeps, instead of ~480 gate and error sweeps. *)
+   errors into the gate stream and folds every maximal run of affine
+   gates into one {!Phase_poly} region ({!Phase_poly.fold}, the fold the
+   statevector plans use), applied by one out-of-place sweep
+   ({!Sv_kernels.apply_segment}); H and the non-affine gates (Toffoli,
+   MCX, CCZ, MCZ) go through the per-gate kernels. An addeq:3 shot (17
+   qubits, 467 gates) becomes ~35 segment sweeps plus its 44 H sweeps,
+   instead of ~480 gate and error sweeps. *)
 
 (* Below this width a shot is too cheap for its per-region setup to pay
    (EXPERIMENTS.md, E23): the per-gate path stays. *)
 let segment_min_qubits = 8
 
-(* A gate plus the Z errors on its qubits add at most this many parities
-   (CZ: three, then one per qubit). *)
-let max_new_terms = 5
-
 (* [r] starts empty and every flush empties it again. *)
 let segment_evolve s scr r st params pc =
   Statevector.reset s;
   let flush () =
-    let masks = ref [] and eighths = ref [] in
-    List.iter
-      (fun (l, (t : Phase_poly.term)) ->
-        let e = t.eighths land 7 in
-        if e <> 0 then begin
-          masks := l :: !masks;
-          eighths := e :: !eighths
-        end)
-      (Phase_poly.terms r);
-    let offset = Phase_poly.offset r in
-    if !masks <> [] || offset <> 0 || not (Phase_poly.is_linear_identity r) then
-      Sv_kernels.apply_segment s scr
-        (Sv_kernels.segment ~sb:s.Sv_shard.sb ~inv:r.Phase_poly.inv ~offset
-           ~masks:(Array.of_list !masks) ~eighths:(Array.of_list !eighths));
+    Option.iter (Sv_kernels.apply_segment s scr) (Sv_kernels.segment_of_region r);
     Phase_poly.reset r
   in
-  let z q = Phase_poly.add_phase r q ~eighths:4 ~angle:0. in
-  let pauli q = function
-    | 0 -> Phase_poly.x r q
-    | 1 ->
-        z q;
-        Phase_poly.x r q
-    | _ -> z q
-  in
+  let pauli q k = ignore (Phase_poly.fold r (pauli_gate q k)) in
   let errors = ref 0 in
   Array.iteri
     (fun i g ->
-      if Phase_poly.term_count r > Sv_kernels.max_segment_terms - max_new_terms then flush ();
-      let phase q e = Phase_poly.add_phase r q ~eighths:e ~angle:0. in
-      (match g with
-      | Gate.X q -> Phase_poly.x r q
-      | Gate.Y q -> pauli q 1
-      | Gate.Z q -> z q
-      | Gate.S q -> phase q 2
-      | Gate.Sdg q -> phase q 6
-      | Gate.T q -> phase q 1
-      | Gate.Tdg q -> phase q 7
-      | Gate.Cnot (c, t) -> Phase_poly.cnot r c t
-      | Gate.Cz (a, b) -> Phase_poly.cz r a b
-      | Gate.Swap (a, b) -> Phase_poly.swap r a b
-      | Gate.H _ | Gate.Rz _ | Gate.Ccx _ | Gate.Ccz _ | Gate.Mcx _ | Gate.Mcz _ ->
-          flush ();
-          Statevector.apply s g);
+      if Phase_poly.term_count r > Sv_kernels.max_segment_terms - Sv_kernels.max_new_terms
+      then flush ();
+      if not (Phase_poly.fold r g) then begin
+        flush ();
+        Statevector.apply s g
+      end;
       errors := !errors + draw_errors st params pc i ~pauli ~on_qubit:ignore)
     pc.gates;
   flush ();

@@ -1,5 +1,6 @@
-(** Phase-polynomial regions: the IR shared by T-par ({!Tpar}) and the
-    segment engine of the noisy backend ({!Noise}).
+(** Phase-polynomial regions: the IR shared by T-par ({!Tpar}), the
+    statevector plans ({!Sv_plan}) and the segment engine of the noisy
+    backend ({!Noise}).
 
     A run of gates from {CNOT, X, SWAP} plus diagonal phase gates maps a
     basis state |x⟩ to [e^{iφ(x)} |A·x ⊕ b⟩] (Amy–Maslov–Mosca, the
@@ -8,7 +9,8 @@
     parity its qubit holds at that point. Rotations on the same linear
     parity merge (mod 8 in units of π/4, plus any Rz angle); a parity
     with its constant bit set contributes the negated rotation and a
-    global phase, which is dropped.
+    global phase. The global phase is kept beside the terms: T-par
+    ignores it, plans apply it and stay amplitude-exact.
 
     Parity encoding: bit [q] ([q < n]) is input variable [q] of the
     region; bit [n] is the constant 1. The inverse of the linear part is
@@ -34,6 +36,8 @@ type t = {
   terms : (int, term) Hashtbl.t; (* keyed by linear part *)
   mutable order : int list; (* linear parts, first-seen order, reversed *)
   mutable steps : int; (* affine/skeleton gates since the region began *)
+  mutable g_eighths : int; (* global phase: multiples of π/4 ... *)
+  mutable g_angle : float; (* ... plus an angle *)
 }
 
 (** [create n] is an empty region over [n] qubits (at most 61: parities
@@ -42,7 +46,7 @@ let create n =
   if n > 61 then invalid_arg "Phase_poly: parity bitmasks support at most 61 qubits";
   { n; const_bit = 1 lsl n; parity = Array.init n (fun q -> 1 lsl q);
     inv = Array.init n (fun q -> 1 lsl q); terms = Hashtbl.create 64; order = [];
-    steps = 0 }
+    steps = 0; g_eighths = 0; g_angle = 0. }
 
 (** [reset r] starts a fresh region: the identity map, no terms. *)
 let reset r =
@@ -52,7 +56,9 @@ let reset r =
   done;
   Hashtbl.reset r.terms;
   r.order <- [];
-  r.steps <- 0
+  r.steps <- 0;
+  r.g_eighths <- 0;
+  r.g_angle <- 0.
 
 let linear r p = p land lnot r.const_bit
 
@@ -101,14 +107,21 @@ let swap r a b =
   r.inv.(b) <- i;
   step r
 
+let global r ~eighths ~angle =
+  r.g_eighths <- r.g_eighths + eighths;
+  r.g_angle <- r.g_angle +. angle
+
 (** [phase_on r p ~qubit ~eighths ~angle] multiplies by [ω^(eighths·p)]
     and [e^(i·angle·p)] for the affine parity [p]. A constant parity
-    only contributes a global phase, so nothing is recorded. *)
+    only contributes to the global phase. *)
 let phase_on r p ~qubit ~eighths ~angle =
+  let negated = p land r.const_bit <> 0 in
+  (* on a negated parity ¬l the rotation is the global phase times the
+     inverse rotation on l *)
+  if negated then global r ~eighths ~angle;
   if linear r p <> 0 then begin
     let e = entry r p ~qubit in
-    (* on a negated parity the rotation flips sign (plus a global phase) *)
-    if p land r.const_bit <> 0 then begin
+    if negated then begin
       e.eighths <- e.eighths - eighths;
       e.angle <- e.angle -. angle
     end
@@ -128,6 +141,33 @@ let cz r a b =
   phase_on r pa ~qubit:a ~eighths:2 ~angle:0.;
   phase_on r pb ~qubit:b ~eighths:2 ~angle:0.;
   phase_on r (pa lxor pb) ~qubit:a ~eighths:(-2) ~angle:0.
+
+(** [fold r g] folds gate [g] into the region and holds, or leaves the
+    region alone and is false when [g] is not affine (H, Toffoli, CCZ,
+    MCX, MCZ): the caller ends the region there. Y is [i·X·Z] and Rz(θ)
+    is [e^(-iθ/2)·diag(1, e^(iθ))]; both global phases are kept. *)
+let fold r (g : Gate.t) =
+  let phase q e = add_phase r q ~eighths:e ~angle:0. in
+  match g with
+  | Gate.X q -> x r q; true
+  | Gate.Y q ->
+      phase q 4;
+      x r q;
+      global r ~eighths:2 ~angle:0.;
+      true
+  | Gate.Z q -> phase q 4; true
+  | Gate.S q -> phase q 2; true
+  | Gate.Sdg q -> phase q 6; true
+  | Gate.T q -> phase q 1; true
+  | Gate.Tdg q -> phase q 7; true
+  | Gate.Rz (a, q) ->
+      add_phase r q ~eighths:0 ~angle:a;
+      global r ~eighths:0 ~angle:(-.a /. 2.);
+      true
+  | Gate.Cnot (c, t) -> cnot r c t; true
+  | Gate.Cz (a, b) -> cz r a b; true
+  | Gate.Swap (a, b) -> swap r a b; true
+  | Gate.H _ | Gate.Ccx _ | Gate.Ccz _ | Gate.Mcx _ | Gate.Mcz _ -> false
 
 (** [terms r] lists [(linear part, term)] in first-seen order. *)
 let terms r = List.rev_map (fun l -> (l, Hashtbl.find r.terms l)) r.order

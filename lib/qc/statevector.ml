@@ -10,22 +10,25 @@
       the global-index accessors;
     - {!Sv_kernels} — per-gate kernels (flat fast paths and their
       sharded counterparts), deterministic slab-ordered reductions, and
-      the diagonal-sweep primitive the plans use;
+      the phase-polynomial segment sweep ({!Phase_poly} regions applied
+      out of place);
     - {!Sv_plan} (exposed as {!Plan}) — compile-once execution plans:
-      block fusion, the commuting-block peepholes, and sharded replay
-      with slab-local / cross-slab kernel classification.
+      H layers, segments and pass-through gates, the H-deferring
+      peephole, and sharded replay with slab-local / cross-slab
+      classification.
 
     This file owns what sits above the kernels: the LRU plan cache
     (capacity via [DAUTOQ_PLAN_CACHE]), the [run]/[run_on] entry points
     with their telemetry, and measurement (sampling, CDF construction,
     state comparisons).
 
-    Determinism contract (PR 3/PR 8, extended to shards): for a fixed
-    circuit and seed, amplitudes, sampler draws and histograms are
-    bit-identical for {e any} [--jobs] value and {e any} shard-bits
-    setting. Parallel loops write disjoint slabs or disjoint index
-    chunks; reductions sum in a fixed order that never depends on pool
-    width or slab size. *)
+    Determinism contract: for a fixed circuit and seed, amplitudes,
+    sampler draws and histograms are bit-identical for {e any} [--jobs]
+    value and {e any} shard-bits setting. Parallel loops write disjoint
+    slabs or disjoint index chunks; reductions sum in a fixed order that
+    never depends on pool width or slab size. Planned runs match the
+    gate-by-gate reference ([~fuse:false]) within rounding, global phase
+    included. *)
 
 include Sv_kernels
 module Plan = Sv_plan
@@ -122,17 +125,20 @@ let plan_of_circuit circuit =
 
 (* Shared by run/run_on: plan replay at ≥ {!fuse_min_qubits} qubits,
    otherwise gate-by-gate kernels — the same path [~fuse:false] forces
-   at any width, which makes it the unfused reference. Both entry points
-   emit the same telemetry ([run_on] used to bypass it, under-counting
-   qc.statevector.gates_applied for engine-driven simulation). *)
+   at any width, which makes it the unfused reference. A plan whose
+   segment scratch would pass the allocation cap ({!Plan.scratch_fits})
+   also runs gate by gate: in place, in the state's own memory. Both
+   entry points emit the same telemetry ([run_on] used to bypass it,
+   under-counting qc.statevector.gates_applied for engine-driven
+   simulation). *)
 let exec ~fuse s circuit =
-  if fuse && s.n >= fuse_min_qubits then begin
-    let p = plan_of_circuit circuit in
-    Plan.execute p s;
-    if Obs.enabled () then
-      Obs.count ~by:(Array.length p.Plan.ops) "qc.statevector.fused_ops"
-  end
-  else Circuit.iter (apply s) circuit;
+  let plan = if fuse && s.n >= fuse_min_qubits then Some (plan_of_circuit circuit) else None in
+  (match plan with
+  | Some p when Plan.scratch_fits p ->
+      Plan.execute p s;
+      if Obs.enabled () then
+        Obs.count ~by:(Array.length p.Plan.ops) "qc.statevector.fused_ops"
+  | _ -> Circuit.iter (apply s) circuit);
   if Obs.enabled () then begin
     Obs.count ~by:(Circuit.num_gates circuit) "qc.statevector.gates_applied";
     Obs.add_attrs [ ("qubits", Obs.Int s.n) ]

@@ -1,14 +1,15 @@
-(** Gate kernels, reductions and the diagonal-sweep primitive the plan
-    layer ({!Sv_plan}) builds on, over the sharded state ({!Sv_shard}).
+(** Gate kernels, reductions and the phase-polynomial segment sweep the
+    plan layer ({!Sv_plan}) and the noisy segment engine ({!Noise})
+    build on, over the sharded state ({!Sv_shard}).
 
     Every primitive has two shapes with {e identical per-amplitude float
-    arithmetic}: a flat fast path on single-slab states (the exact PR 8
-    kernels) and a sharded path that dispatches on whether the touched
-    qubits sit below the slab bit — slab-local work fans out over the
-    {!Par} pool slab by slab, cross-slab pairs stream two slabs in
-    lockstep. Reductions chunk the {e global} index space into a fixed
-    block count and walk each block's slabs in ascending global order,
-    so sums are bit-identical across every jobs × shard-bits setting. *)
+    arithmetic}: a flat fast path on single-slab states and a sharded
+    path that dispatches on whether the touched qubits sit below the
+    slab bit — slab-local work fans out over the {!Par} pool slab by
+    slab, cross-slab pairs stream two slabs in lockstep. Reductions
+    chunk the {e global} index space into a fixed block count and walk
+    each block's slabs in ascending global order, so sums are
+    bit-identical across every jobs × shard-bits setting. *)
 
 include Sv_shard
 
@@ -247,8 +248,8 @@ let seg_swap2 (re : float array) (im : float array) ab bb lo hi =
     end
   done
 
-(* Sharded SWAP with at least one high qubit: rare enough (plans fuse
-   SWAPs into permutation blocks) that a generic global-index walk via
+(* Sharded SWAP with at least one high qubit: rare enough (plans fold
+   SWAPs into segments) that a generic global-index walk via
    the accessors is fine. Pure moves — exact, and pairs are disjoint so
    chunking stays deterministic. *)
 let seg_swap2_g s ab bb lo hi =
@@ -401,191 +402,38 @@ let prob_of_qubit s q =
     reduce_sum (size s) (seg_sum2_bit s.sl_re.(0) s.sl_im.(0) (1 lsl q))
   else reduce_sum (size s) (seg_sum2_bit_sh s (1 lsl q))
 
-(* --- diagonal sweeps --- *)
-
-(* One multiplicative term of a diagonal gate: amplitudes whose index
-   matches [want] on [mask] pick up the phase (pre + i·pim). *)
-type dterm = { mask : int; want : int; pre : float; pim : float }
-
-let dterm mask want (p : Complex.t) = { mask; want; pre = p.re; pim = p.im }
-
-(* The phase terms of a diagonal gate (diagonal gates all commute, so any
-   run of them coalesces into one sweep over these terms). *)
-let dterms_of_gate g =
-  let one_hot q p = [ dterm (1 lsl q) (1 lsl q) p ] in
-  match g with
-  | Gate.Z q -> Some (one_hot q cm1)
-  | Gate.S q -> Some (one_hot q ci)
-  | Gate.Sdg q -> Some (one_hot q cmi)
-  | Gate.T q -> Some (one_hot q omega)
-  | Gate.Tdg q -> Some (one_hot q omega_bar)
-  | Gate.Rz (a, q) ->
-      let h = a /. 2. in
-      let bit = 1 lsl q in
-      Some
-        [ dterm bit 0 Complex.{ re = cos h; im = -.sin h };
-          dterm bit bit Complex.{ re = cos h; im = sin h } ]
-  | Gate.Cz (a, b) ->
-      let m = (1 lsl a) lor (1 lsl b) in
-      Some [ dterm m m cm1 ]
-  | Gate.Ccz (a, b, c) ->
-      let m = mask_of [ a; b; c ] in
-      Some [ dterm m m cm1 ]
-  | Gate.Mcz qs ->
-      let m = mask_of qs in
-      Some [ dterm m m cm1 ]
-  | _ -> None
-
-(* One sweep applying a whole run of diagonal gates. The combined phase of
-   index [x] is a product over matching terms; terms whose mask lies
-   entirely in the low or high half of the index bits are precomputed
-   into per-half lookup tables of size O(√2^n), so the sweep itself is
-   phase(x) = lo[x low bits] · hi[x high bits] · (rare straddling terms)
-   — two complex multiplies per amplitude however long the run is, and
-   one memory pass instead of one per gate. Amplitudes whose combined
-   phase is exactly 1 are not written, so untouched entries keep their
-   exact values (basis states stay exact). All arithmetic is on unboxed
-   floats — no [Complex.t] in the inner loop. *)
-let seg_phase_sweep re im lo_re lo_im hi_re hi_im half_mask h
-    (straddling : dterm array) lo hi =
-  let ns = Array.length straddling in
-  (* 2-slot float array, not refs: ref assignment would box per store *)
-  let acc = [| 1.; 0. |] in
-  for x = lo to hi - 1 do
-    let l = x land half_mask and g = x lsr h in
-    let ar = Array.unsafe_get lo_re l and ai = Array.unsafe_get lo_im l in
-    let br = Array.unsafe_get hi_re g and bi = Array.unsafe_get hi_im g in
-    acc.(0) <- (ar *. br) -. (ai *. bi);
-    acc.(1) <- (ar *. bi) +. (ai *. br);
-    for t = 0 to ns - 1 do
-      let tm = Array.unsafe_get straddling t in
-      if x land tm.mask = tm.want then begin
-        let r = acc.(0) and i = acc.(1) in
-        acc.(0) <- (r *. tm.pre) -. (i *. tm.pim);
-        acc.(1) <- (r *. tm.pim) +. (i *. tm.pre)
-      end
-    done;
-    let pr = acc.(0) and pi = acc.(1) in
-    if not (pr = 1. && pi = 0.) then begin
-      let r = re.(x) and i = im.(x) in
-      re.(x) <- (pr *. r) -. (pi *. i);
-      im.(x) <- (pr *. i) +. (pi *. r)
-    end
-  done
-
-(* Sharded sweep segment: local writes, global indices into the phase
-   tables ([gx = base lor x]). Same arithmetic and same skip-when-unit
-   rule as {!seg_phase_sweep}. *)
-let seg_phase_sweep_base (re : float array) (im : float array) lo_re lo_im
-    hi_re hi_im half_mask h (straddling : dterm array) base lo hi =
-  let ns = Array.length straddling in
-  let acc = [| 1.; 0. |] in
-  for x = lo to hi - 1 do
-    let gx = base lor x in
-    let l = gx land half_mask and g = gx lsr h in
-    let ar = Array.unsafe_get lo_re l and ai = Array.unsafe_get lo_im l in
-    let br = Array.unsafe_get hi_re g and bi = Array.unsafe_get hi_im g in
-    acc.(0) <- (ar *. br) -. (ai *. bi);
-    acc.(1) <- (ar *. bi) +. (ai *. br);
-    for t = 0 to ns - 1 do
-      let tm = Array.unsafe_get straddling t in
-      if gx land tm.mask = tm.want then begin
-        let r = acc.(0) and i = acc.(1) in
-        acc.(0) <- (r *. tm.pre) -. (i *. tm.pim);
-        acc.(1) <- (r *. tm.pim) +. (i *. tm.pre)
-      end
-    done;
-    let pr = acc.(0) and pi = acc.(1) in
-    if not (pr = 1. && pi = 0.) then begin
-      let r = re.(x) and i = im.(x) in
-      re.(x) <- (pr *. r) -. (pi *. i);
-      im.(x) <- (pr *. i) +. (pi *. r)
-    end
-  done
-
-(* A fully prepared diagonal sweep: the per-half phase tables plus any
-   straddling terms. Building one is O(√2^n · terms); the plan layer
-   builds each sweep once and replays it across shots. *)
-type sweep = {
-  lo_re : float array;
-  lo_im : float array;
-  hi_re : float array;
-  hi_im : float array;
-  half_mask : int;
-  h : int;
-  straddling : dterm array;
-}
-
-let sweep_of_terms n (terms : dterm array) =
-  let h = (n + 1) / 2 in
-  let lo_sz = 1 lsl h and hi_sz = 1 lsl (n - h) in
-  let half_mask = lo_sz - 1 in
-  let lo_re = Array.make lo_sz 1. and lo_im = Array.make lo_sz 0. in
-  let hi_re = Array.make hi_sz 1. and hi_im = Array.make hi_sz 0. in
-  let fold_into tre tim tsz mask want pre pim =
-    for i = 0 to tsz - 1 do
-      if i land mask = want then begin
-        let r = tre.(i) and j = tim.(i) in
-        tre.(i) <- (r *. pre) -. (j *. pim);
-        tim.(i) <- (r *. pim) +. (j *. pre)
-      end
-    done
-  in
-  let straddling = ref [] in
-  Array.iter
-    (fun t ->
-      if t.mask land half_mask = t.mask then
-        fold_into lo_re lo_im lo_sz t.mask t.want t.pre t.pim
-      else if t.mask land lnot half_mask = t.mask then
-        fold_into hi_re hi_im hi_sz (t.mask lsr h) (t.want lsr h) t.pre t.pim
-      else straddling := t :: !straddling)
-    (* multi-qubit masks spanning both halves (a CZ across the midline)
-       stay as per-index checks; they are rare and few *)
-    terms;
-  { lo_re; lo_im; hi_re; hi_im; half_mask; h;
-    straddling = Array.of_list (List.rev !straddling) }
-
-let apply_sweep s sw =
-  if not (sharded s) then begin
-    let re = s.sl_re.(0) and im = s.sl_im.(0) in
-    let sz = size s in
-    if sz <= par_threshold then
-      seg_phase_sweep re im sw.lo_re sw.lo_im sw.hi_re sw.hi_im sw.half_mask
-        sw.h sw.straddling 0 sz
-    else
-      Par.parallel_for (Par.global ()) ~start:0 ~stop:sz (fun lo hi ->
-          seg_phase_sweep re im sw.lo_re sw.lo_im sw.hi_re sw.hi_im
-            sw.half_mask sw.h sw.straddling lo hi)
-  end
-  else
-    run_slabs s (fun sl ->
-        seg_phase_sweep_base s.sl_re.(sl) s.sl_im.(sl) sw.lo_re sw.lo_im
-          sw.hi_re sw.hi_im sw.half_mask sw.h sw.straddling (sl lsl s.sb) 0
-          (slab_size s))
-
 (* --- affine phase-polynomial segments --- *)
 
-(* One region of {!Phase_poly}: |x⟩ ↦ ω^(Σ e_k·(l_k·x)) |A·x ⊕ b⟩ with
-   ω = e^{iπ/4}, applied out of place. Output [y] reads source
-   [x = A⁻¹·(y ⊕ b)], which is linear in [y] up to the constant
-   [x0 = A⁻¹·b], and so is the term word [t(x)] (bit k = l_k·x). A
-   block of 2^lb outputs steps both by XORing precomputed low-bit
-   deltas onto the block's base; the phase exponent is a sum of per-byte
-   mod-8 tables over the term word. *)
+(* One region of {!Phase_poly}: |x⟩ ↦ e^{iφ(x)} |A·x ⊕ b⟩, applied out
+   of place. Output [y] reads source [x = A⁻¹·(y ⊕ b)], which is linear
+   in [y] up to the constant [x0 = A⁻¹·b], and so is the term word
+   [t(x)] (bit k = l_k·x). A block of 2^lb outputs steps both by XORing
+   low-bit deltas onto the block's base. The phase is looked up per
+   byte of the term word, the global phase folded into byte 0's table:
+   when every rotation is a multiple of π/4 the tables hold mod-8
+   exponents and each amplitude takes one of the eight exact ω^p
+   constants; otherwise they hold complex factors, multiplied per
+   byte. *)
+type phases =
+  | Eighths of Bytes.t (* Σ e_k over the byte's set bits, mod 8 *)
+  | Angles of float array (* e^{iΣθ_k}: re at [2m], im at [2m + 1] *)
+
 type segment = {
-  lb : int; (* low output bits stepped through [dx]/[dt] *)
   cols : int array; (* cols.(j): source delta of output bit j (A⁻¹ column) *)
   tcols : int array; (* term-word delta of output bit j *)
   x0 : int;
   t0 : int;
-  dx : int array; (* source deltas of the 2^lb low output patterns *)
-  dt : int array; (* term-word deltas of the same *)
-  ptab : int array; (* per term byte: Σ e_k over its set bits, mod 8 *)
+  phases : phases; (* byte b's entries start at 256·b *)
 }
 
 (** The term word is one int: at most this many phase terms per
     segment. *)
 let max_segment_terms = 62
+
+(** Folding one gate adds at most this many terms to a region (CZ:
+    three), and each Z error one more per touched qubit: callers end a
+    region once fewer than this many term slots are left. *)
+let max_new_terms = 5
 
 (* ω^p at [2p] (re) and [2p + 1] (im), p = 0..7: the per-gate constants *)
 let omega_ri =
@@ -603,7 +451,6 @@ let parity v =
 (* Fill [tab.(base + m)] for m < 2^bits with [col j] combined over the
    set bits j of m — by doubling, one op per entry. *)
 let fill_span tab base bits col combine =
-  tab.(base) <- 0;
   for j = 0 to bits - 1 do
     let h = 1 lsl j in
     for m = 0 to h - 1 do
@@ -611,41 +458,63 @@ let fill_span tab base bits col combine =
     done
   done
 
-(** [segment ~sb ~inv ~offset ~masks ~eighths] prepares a sweep for
-    a state with slab bits [sb]: [inv] holds the columns of A⁻¹,
-    [offset] is [b], and term [k] is [eighths.(k)]·([masks.(k)]·x),
-    at most {!max_segment_terms} of them. *)
-let segment ~sb ~inv ~offset ~(masks : int array) ~(eighths : int array) =
-  let k = Array.length masks in
-  if k > max_segment_terms then invalid_arg "Sv_kernels.segment: too many terms";
-  let tword v =
-    let w = ref 0 in
-    for i = 0 to k - 1 do
-      if parity (masks.(i) land v) = 1 then w := !w lor (1 lsl i)
-    done;
-    !w
-  in
-  let n = Array.length inv in
-  let cols = Array.copy inv in
-  let tcols = Array.map tword cols in
-  let x0 = ref 0 in
-  for j = 0 to n - 1 do
-    if offset land (1 lsl j) <> 0 then x0 := !x0 lxor cols.(j)
-  done;
-  let lb = min 6 sb in
-  let dx = Array.make (1 lsl lb) 0 and dt = Array.make (1 lsl lb) 0 in
-  fill_span dx 0 lb (Array.get cols) ( lxor );
-  fill_span dt 0 lb (Array.get tcols) ( lxor );
-  (* 256 entries per full byte of the term word, 2^bits for the last;
-     at most 8 terms index one table of 2^k (k = 0: the single entry 0) *)
-  let bytes = (k + 7) / 8 in
-  let last = k - (8 * max 0 (bytes - 1)) in
-  let ptab = Array.make ((256 * max 0 (bytes - 1)) + (1 lsl last)) 0 in
+(* Per-byte sums of [v k] over the set bits of each byte of a [k]-term
+   word: 256 entries per full byte, 2^w for a last byte of w terms (a
+   single entry for the empty word); byte 0 starts from [g]. *)
+let byte_sums k ~zero ~g ~add v =
+  let bytes = max 1 ((k + 7) / 8) in
+  let tab = Array.make ((256 * (bytes - 1)) + (1 lsl (k - (8 * (bytes - 1))))) zero in
+  tab.(0) <- g;
   for b = 0 to bytes - 1 do
-    let e j = eighths.((8 * b) + j) in
-    fill_span ptab (256 * b) (min 8 (k - (8 * b))) e (fun a v -> (a + v) land 7)
+    fill_span tab (256 * b) (min 8 (k - (8 * b))) (fun j -> v ((8 * b) + j)) add
   done;
-  { lb; cols; tcols; x0 = !x0; t0 = tword !x0; dx; dt; ptab }
+  tab
+
+(** [segment_of_region r] is the sweep applying region [r] (global phase
+    included), or [None] when [r] is the identity. Terms whose rotation
+    cancelled are dropped; at most {!max_segment_terms} may remain. *)
+let segment_of_region (r : Phase_poly.t) =
+  let terms =
+    Array.of_list
+      (List.filter
+         (fun (_, (t : Phase_poly.term)) -> t.eighths land 7 <> 0 || t.angle <> 0.)
+         (Phase_poly.terms r))
+  in
+  let k = Array.length terms in
+  let offset = Phase_poly.offset r in
+  let g = r.Phase_poly.g_eighths land 7 and ga = r.Phase_poly.g_angle in
+  if k = 0 && offset = 0 && g = 0 && ga = 0. && Phase_poly.is_linear_identity r then None
+  else begin
+    if k > max_segment_terms then invalid_arg "Sv_kernels.segment_of_region: too many terms";
+    let tword v =
+      let w = ref 0 in
+      for i = 0 to k - 1 do
+        if parity (fst terms.(i) land v) = 1 then w := !w lor (1 lsl i)
+      done;
+      !w
+    in
+    let cols = Array.copy r.Phase_poly.inv in
+    let tcols = Array.map tword cols in
+    let x0 = ref 0 in
+    Array.iteri (fun j c -> if offset land (1 lsl j) <> 0 then x0 := !x0 lxor c) cols;
+    let eighths i = (snd terms.(i)).Phase_poly.eighths land 7 in
+    let phases =
+      if ga = 0. && Array.for_all (fun (_, (t : Phase_poly.term)) -> t.angle = 0.) terms then
+        let tab = byte_sums k ~zero:0 ~g ~add:( + ) eighths in
+        Eighths (Bytes.init (Array.length tab) (fun i -> Char.chr (tab.(i) land 7)))
+      else
+        let theta e a = (float_of_int e *. Float.pi /. 4.) +. a in
+        let tab =
+          byte_sums k ~zero:0. ~g:(theta g ga) ~add:( +. ) (fun i ->
+              theta (eighths i) (snd terms.(i)).Phase_poly.angle)
+        in
+        Angles
+          (Array.init
+             (2 * Array.length tab)
+             (fun i -> if i land 1 = 0 then cos tab.(i / 2) else sin tab.(i / 2)))
+    in
+    Some { cols; tcols; x0 = !x0; t0 = tword !x0; phases }
+  end
 
 (* XOR of [cols.(j0 + i)] over the set bits i of [v]: a block's base. *)
 let xor_span (cols : int array) v j0 =
@@ -658,19 +527,19 @@ let xor_span (cols : int array) v j0 =
   !acc
 
 (* Flat sweep over output blocks [blo, bhi) of 2^lb amplitudes, for
-   segments of at most 8 terms: one table lookup per amplitude. The loop
-   makes no calls — a call would make the compiler spill its registers
-   around it, which costs a third of the sweep. *)
+   exact segments of at most 8 terms: one table lookup per amplitude.
+   [dx]/[dt] are the source and term-word deltas of the 2^lb low output
+   patterns. The loop makes no calls — a call would make the compiler
+   spill its registers around it, which costs a third of the sweep. *)
 let seg_affine (ire : float array) (iim : float array) (ore : float array)
-    (oim : float array) sg blo bhi =
-  let lb = sg.lb and dx = sg.dx and dt = sg.dt and ptab = sg.ptab in
+    (oim : float array) sg ptab lb (dx : int array) (dt : int array) blo bhi =
   for blk = blo to bhi - 1 do
     let y0 = blk lsl lb in
     let xb = sg.x0 lxor xor_span sg.cols blk lb
     and tb = sg.t0 lxor xor_span sg.tcols blk lb in
     for m = 0 to (1 lsl lb) - 1 do
       let x = xb lxor Array.unsafe_get dx m in
-      let p = 2 * Array.unsafe_get ptab (tb lxor Array.unsafe_get dt m) in
+      let p = 2 * Char.code (Bytes.unsafe_get ptab (tb lxor Array.unsafe_get dt m)) in
       let wr = Array.unsafe_get omega_ri p and wi = Array.unsafe_get omega_ri (p + 1) in
       let r = Array.unsafe_get ire x and i = Array.unsafe_get iim x in
       Array.unsafe_set ore (y0 + m) ((wr *. r) -. (wi *. i));
@@ -678,14 +547,14 @@ let seg_affine (ire : float array) (iim : float array) (ore : float array)
     done
   done
 
-(* The general sweep: any term count (one lookup per byte of the term
-   word), sources read through slabs of 2^sb. Output blocks [blo, bhi)
-   of the slab whose first global index is [ybase]. Same arithmetic as
-   {!seg_affine}. *)
+(* The general exact sweep: any term count (one lookup per byte of the
+   term word), sources read through slabs of 2^sb. Output blocks
+   [blo, bhi) of the slab whose first global index is [ybase]. Same
+   arithmetic as {!seg_affine}. *)
 let seg_affine_sh (ire : float array array) (iim : float array array) sb
-    (ore : float array) (oim : float array) sg ybase blo bhi =
-  let lb = sg.lb and smask = (1 lsl sb) - 1 and dx = sg.dx and dt = sg.dt in
-  let ptab = sg.ptab in
+    (ore : float array) (oim : float array) sg ptab lb (dx : int array)
+    (dt : int array) ybase blo bhi =
+  let smask = (1 lsl sb) - 1 in
   for blk = blo to bhi - 1 do
     let y0 = blk lsl lb in
     let gblk = (ybase lor y0) lsr lb in
@@ -693,9 +562,11 @@ let seg_affine_sh (ire : float array array) (iim : float array array) sb
     and tb = sg.t0 lxor xor_span sg.tcols gblk lb in
     for m = 0 to (1 lsl lb) - 1 do
       let x = xb lxor Array.unsafe_get dx m in
-      let t = ref (tb lxor Array.unsafe_get dt m) and p = ref 0 and o = ref 0 in
+      let t = tb lxor Array.unsafe_get dt m in
+      let p = ref (Char.code (Bytes.unsafe_get ptab (t land 255))) in
+      let t = ref (t lsr 8) and o = ref 256 in
       while !t <> 0 do
-        p := !p + Array.unsafe_get ptab (!o + (!t land 255));
+        p := !p + Char.code (Bytes.unsafe_get ptab (!o + (!t land 255)));
         t := !t lsr 8;
         o := !o + 256
       done;
@@ -709,12 +580,53 @@ let seg_affine_sh (ire : float array array) (iim : float array array) sb
     done
   done
 
+(* The angle sweep: the shape of {!seg_affine_sh}, with the phase the
+   product of one complex factor per byte of the term word (a zero byte
+   past the first contributes exactly 1 and is skipped). *)
+let seg_affine_c (ire : float array array) (iim : float array array) sb
+    (ore : float array) (oim : float array) sg (ctab : float array) lb
+    (dx : int array) (dt : int array) ybase blo bhi =
+  let smask = (1 lsl sb) - 1 in
+  let w = [| 1.; 0. |] in
+  for blk = blo to bhi - 1 do
+    let y0 = blk lsl lb in
+    let gblk = (ybase lor y0) lsr lb in
+    let xb = sg.x0 lxor xor_span sg.cols gblk lb
+    and tb = sg.t0 lxor xor_span sg.tcols gblk lb in
+    for m = 0 to (1 lsl lb) - 1 do
+      let x = xb lxor Array.unsafe_get dx m in
+      let t = tb lxor Array.unsafe_get dt m in
+      let e = 2 * (t land 255) in
+      w.(0) <- Array.unsafe_get ctab e;
+      w.(1) <- Array.unsafe_get ctab (e + 1);
+      let t = ref (t lsr 8) and o = ref 512 in
+      while !t <> 0 do
+        let e = !o + (2 * (!t land 255)) in
+        let cr = Array.unsafe_get ctab e and ci = Array.unsafe_get ctab (e + 1) in
+        let ar = w.(0) and ai = w.(1) in
+        w.(0) <- (ar *. cr) -. (ai *. ci);
+        w.(1) <- (ar *. ci) +. (ai *. cr);
+        t := !t lsr 8;
+        o := !o + 512
+      done;
+      let wr = w.(0) and wi = w.(1) in
+      let sre : float array = Array.unsafe_get ire (x lsr sb)
+      and sim : float array = Array.unsafe_get iim (x lsr sb) in
+      let r = Array.unsafe_get sre (x land smask) and i = Array.unsafe_get sim (x land smask) in
+      Array.unsafe_set ore (y0 + m) ((wr *. r) -. (wi *. i));
+      Array.unsafe_set oim (y0 + m) ((wr *. i) +. (wi *. r))
+    done
+  done
+
 (** A slab set the shape of a state's, for out-of-place kernels. *)
 type scratch = { mutable x_re : float array array; mutable x_im : float array array }
 
+(* Uninitialized on purpose: a segment writes every output before the
+   swap, and pre-zeroing would cost a full extra memory pass. *)
 let scratch_for s =
-  { x_re = alloc_slabs ~slabs:(slab_count s) ~slab_size:(slab_size s);
-    x_im = alloc_slabs ~slabs:(slab_count s) ~slab_size:(slab_size s) }
+  let slab () = Array.create_float (slab_size s) in
+  { x_re = Array.init (slab_count s) (fun _ -> slab ());
+    x_im = Array.init (slab_count s) (fun _ -> slab ()) }
 
 (** [apply_segment s scr sg] applies the segment through [scr] and swaps
     the slab sets, so [scr] holds the old amplitudes afterwards. Every
@@ -722,44 +634,29 @@ let scratch_for s =
     any chunking by output index is bit-identical. *)
 let apply_segment s scr sg =
   let ire = s.sl_re and iim = s.sl_im in
-  let blocks = slab_size s lsr sg.lb in
+  let lb = min 6 s.sb in
+  let dx = Array.make (1 lsl lb) 0 and dt = Array.make (1 lsl lb) 0 in
+  fill_span dx 0 lb (Array.get sg.cols) ( lxor );
+  fill_span dt 0 lb (Array.get sg.tcols) ( lxor );
+  let blocks = slab_size s lsr lb in
+  let sweep ore oim ybase =
+    match sg.phases with
+    | Eighths ptab when (not (sharded s)) && Bytes.length ptab <= 256 ->
+        seg_affine ire.(0) iim.(0) ore oim sg ptab lb dx dt
+    | Eighths ptab -> seg_affine_sh ire iim s.sb ore oim sg ptab lb dx dt ybase
+    | Angles ctab -> seg_affine_c ire iim s.sb ore oim sg ctab lb dx dt ybase
+  in
   (if not (sharded s) then begin
-     let ore = scr.x_re.(0) and oim = scr.x_im.(0) in
-     let seg =
-       if Array.length sg.ptab <= 256 then seg_affine ire.(0) iim.(0) ore oim sg
-       else seg_affine_sh ire iim s.sb ore oim sg 0
-     in
+     let seg = sweep scr.x_re.(0) scr.x_im.(0) 0 in
      if size s <= par_threshold then seg 0 blocks
      else Par.parallel_for (Par.global ()) ~start:0 ~stop:blocks seg
    end
    else
-     run_slabs s (fun sl ->
-         seg_affine_sh ire iim s.sb scr.x_re.(sl) scr.x_im.(sl) sg (sl lsl s.sb) 0 blocks));
+     run_slabs s (fun sl -> sweep scr.x_re.(sl) scr.x_im.(sl) (sl lsl s.sb) 0 blocks));
   s.sl_re <- scr.x_re;
   s.sl_im <- scr.x_im;
   scr.x_re <- ire;
   scr.x_im <- iim
-
-(* Qubit of a 1-qubit gate, or -1 for multi-qubit gates. *)
-let q1_of = function
-  | Gate.X q | Gate.Y q | Gate.Z q | Gate.H q | Gate.S q | Gate.Sdg q | Gate.T q
-  | Gate.Tdg q
-  | Gate.Rz (_, q) ->
-      q
-  | _ -> -1
-
-(* A diagonal run becomes one sweep only if it contains at least this
-   many 1-qubit phase gates. Those are the passes a sweep collapses;
-   multi-qubit CZ/CCZ/MCZ kernels already touch only a 2^-k subset of
-   amplitudes, so a run of bare CZs (hidden-shift oracles) or QFT's
-   length-2 Rz runs is cheaper gate by gate. *)
-let min_diag_run = 3
-
-let is_diag = function
-  | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Rz _ | Gate.Cz _
-  | Gate.Ccz _ | Gate.Mcz _ ->
-      true
-  | _ -> false
 
 (** [amplitude_damp s q ~gamma ~jump] applies one quantum-trajectory branch
     of the amplitude-damping (T1) channel on qubit [q]:

@@ -1,385 +1,66 @@
 (** Compile-once execution plans (exposed as [Statevector.Plan]).
 
-    {!build} walks a circuit once and emits a flat schedule of kernel
-    ops:
+    A Clifford+T circuit is alternating H layers and runs of affine
+    gates, and {!build} walks it once into a flat schedule of three
+    kernel kinds:
 
-    - runs of {e monomial} gates (one nonzero per unitary column:
-      X/CNOT/Toffoli/SWAP and every phase gate — everything but H) fuse
-      into one permutation-with-phases block of up to
-      {!max_mono_qubits} qubits, built {e symbolically} as a basis-state
-      table with exact integer/constant arithmetic — classical gates get
-      exactly unit phases, and the replay kernel then skips the phase
-      multiply entirely. Full-width blocks replay as one out-of-place
-      scatter through a precomputed inverse map with sequential writes
-      (the state slabs ping-pong with a scratch set); narrower blocks
-      gather/scatter disjoint 2^k-amplitude groups in place. Blocks that
-      compose to the identity are dropped from the schedule;
-    - runs of H on distinct qubits fuse into one gather / k-butterfly /
-      scatter pass ({!max_kron_qubits} wide) — same arithmetic as the
-      individual passes, k× fewer memory sweeps;
-    - only when supports genuinely overlap across kinds does a block
-      fall back to a general dense unitary, capped at
-      {!max_dense_qubits} (8×8, extracted by simulating basis columns —
-      the extraction [Unitary.of_circuit] performs, inlined here because
-      [Unitary] sits above this module), past which the matvec turns
-      compute-bound;
-    - long diagonal runs become one separable-table phase sweep with the
-      tables prebuilt at plan time; a pending sweep is {e folded into}
-      the gather of the next block — or, for a full-width monomial
-      block, folded into its phase table {e at build time}, so the
-      sweep's memory pass disappears from the schedule entirely;
-    - dense-matrix entries within 1e-12 of 0/±1 are snapped exact, so
-      classical blocks replay with exact arithmetic like the specialized
-      kernels they replace.
+    - [K_segment]: a maximal run of X/Y/Z/S/T/Rz/CNOT/CZ/SWAP folded into
+      one {!Phase_poly} region — an affine map of the basis plus a phase
+      polynomial, global phase included ({!Phase_poly.fold}, the fold
+      the noisy segment engine uses) — and applied by one out-of-place
+      sweep ({!Sv_kernels.apply_segment}). Regions that compose to the
+      identity are dropped;
+    - [K_had]: H gates on distinct qubits, one {!Sv_kernels.apply_h}
+      pass per qubit in ascending order;
+    - [K_gate]: a pass-through gate — Toffoli/CCZ/MCX/MCZ, which are not
+      affine, and any region or H layer of a single gate, whose in-place
+      kernel beats an out-of-place sweep.
 
-    Two commuting-block peepholes run at build time (both exact
-    commutations, so plans stay within rounding of the unfused
-    reference, and plans are pure functions of the circuit, so every
-    jobs × shard-bits configuration replays the identical schedule):
+    {!peephole} first defers Hadamards past affine gates on disjoint
+    qubits (an exact commutation), widening regions and merging H
+    layers. Plans are pure functions of the circuit, so every jobs ×
+    shard-bits configuration replays the identical schedule, within
+    rounding of the unfused reference amplitude for amplitude.
 
-    - {!peephole} defers pending Hadamards past monomial gates on
-      disjoint qubits, widening monomial runs and merging H layers;
-    - a kernel-level clustering pass bubbles commuting kernels into
-      ascending highest-touched-bit order, so slab-local kernels group
-      together between cross-slab exchange rounds.
-
-    Replay classifies each kernel against the state's shard layout
-    ({!Sv_shard}): {e slab-local} kernels (all touched qubits below the
-    slab bit, plus every diagonal) fan out per slab over the pool with
-    zero cross-slab traffic; {e cross-slab} kernels stream slabs in
-    lockstep (high-bit butterflies), scatter through the global
-    accessors (rare narrow high-bit blocks), or rebuild the state
-    slab-sequentially through the inverse map (full-width
-    permutations). Groups and slabs are disjoint, so any [--jobs] and
-    any shard-bits value is bit-identical. *)
+    Replay counts each kernel against the state's shard layout
+    ({!Sv_shard}): H layers whose qubits sit below the slab bit, and
+    gates that stay inside a slab, are {e slab-local} and fan out per
+    slab over the pool; a high-bit H pairs whole slabs, and a segment
+    reads sources across slabs while writing each output slab
+    sequentially. Writes are disjoint, so any [--jobs] and any
+    shard-bits value is bit-identical. *)
 
 open Sv_kernels
 
-(* Dense blocks cap at 8×8: per amplitude a 2^k-wide matvec costs
-   O(2^k) complex multiplies, so k = 3 roughly matches the arithmetic
-   of the 1q passes it replaces while making 3x fewer memory passes;
-   k = 4 already triples the arithmetic. Dense blocks only form when
-   gates actually share qubits — fusing disjoint 1q gates into a
-   Kronecker product would multiply arithmetic for nothing. *)
-let max_dense_qubits = 3
-
-(* Monomial blocks (one nonzero per matrix column) gather, phase and
-   scatter — O(1) per amplitude whatever the width — so CNOT chains
-   and similar classical runs fuse very wide. 16 caps the basis table
-   at 2^16 entries (512 kB per array). *)
-let max_mono_qubits = 16
-
-(* Hadamard runs on distinct qubits fuse into one gather / k-butterfly
-   / scatter pass; arithmetic matches the individual passes, so the cap
-   only bounds the scratch group (2^16 amplitudes, 512 kB per array —
-   matching {!max_mono_qubits}). Wide caps matter: every extra block is
-   a full read+write sweep of the state, and at 24+ qubits those sweeps
-   dominate the runtime. *)
-let max_kron_qubits = 16
-
-(* Building a monomial block costs gates × 2^k basis updates; this
-   bounds that product so plan compilation stays a small multiple of
-   one unfused execution even for deep circuits. *)
-let max_block_work = 1 lsl 22
-
 type kernel =
-  | K_gate of Gate.t (* pass-through: single gates, wide MCX/MCZ *)
-  | K_sweep of sweep (* long diagonal run, prebuilt half tables *)
-  | K_diag of { bits : int array; ph_re : float array; ph_im : float array }
-  | K_perm of {
-      pre : sweep option; (* diagonal sweep folded into the gather *)
-      bits : int array;
-      offs : int array;
-      perm : int array; (* column -> row of the single nonzero entry *)
-      ph : (float array * float array) option; (* per-column phase; None = all 1 *)
-    }
-  | K_perm_full of {
-      (* a monomial block spanning every qubit: one out-of-place pass,
-         sequential writes through the inverse map, then slab swap *)
-      inv : int array; (* output index -> input index *)
-      ph : (float array * float array) option; (* input-indexed phase *)
-    }
-  | K_had of {
-      (* Hadamards on distinct qubits: butterflies in scratch registers *)
-      pre : sweep option;
-      bits : int array;
-      offs : int array;
-    }
-  | K_dense of {
-      pre : sweep option;
-      bits : int array;
-      offs : int array;
-      u_re : float array; (* 2^k × 2^k, row-major *)
-      u_im : float array;
-    }
+  | K_gate of Gate.t
+  | K_had of int array (* distinct qubits, ascending *)
+  | K_segment of segment
 
 type t = {
   n : int;
   ops : kernel array;
-  blocks : int; (* fused kernels (dense + diag + perm + sweeps) *)
+  blocks : int; (* fused kernels: segments + H layers *)
   fused_gates : int; (* source gates absorbed into fused kernels *)
   source_gates : int;
 }
 
-(* Everything except H is monomial in our gate set (diagonal gates
-   trivially, X/Y/CNOT/SWAP/CCX/MCX as permutations with phases). *)
-let is_monomial = function Gate.H _ -> false | _ -> true
-
 let gate_mask g = mask_of (Gate.qubits g)
 
-let popcount m =
-  let c = ref 0 and x = ref m in
-  while !x <> 0 do
-    x := !x land (!x - 1);
-    incr c
-  done;
-  !c
-
 let bits_of_mask m =
-  let bits = Array.make (popcount m) 0 in
-  let i = ref 0 and b = ref 0 and x = ref m in
-  while !x <> 0 do
-    if !x land 1 <> 0 then begin
-      bits.(!i) <- !b;
-      incr i
-    end;
-    incr b;
-    x := !x lsr 1
+  let bits = ref [] in
+  for b = Sys.int_size - 1 downto 0 do
+    if m land (1 lsl b) <> 0 then bits := b :: !bits
   done;
-  bits
+  Array.of_list !bits
 
-(* offs.(j) scatters local index j back to the global bit positions. *)
-let offs_of (bits : int array) =
-  let k = Array.length bits in
-  Array.init (1 lsl k) (fun j ->
-      let o = ref 0 in
-      for b = 0 to k - 1 do
-        if j land (1 lsl b) <> 0 then o := !o lor (1 lsl bits.(b))
-      done;
-      !o)
-
-let snap v =
-  if Float.abs v < 1e-12 then 0.
-  else if Float.abs (v -. 1.) < 1e-12 then 1.
-  else if Float.abs (v +. 1.) < 1e-12 then -1.
-  else v
-
-(* The block's matrix on its local qubits, by basis-column simulation
-   of the remapped gate list. [rev_gates] is in reverse application
-   order (the builder's accumulator shape). *)
-let block_matrix n (bits : int array) rev_gates =
-  let k = Array.length bits in
-  let dim = 1 lsl k in
-  let local q =
-    let r = ref 0 in
-    for b = 0 to k - 1 do
-      if bits.(b) = q then r := b
-    done;
-    !r
-  in
-  let c = Circuit.map_qubits ~n:k local (Circuit.of_rev_gates n rev_gates) in
-  let u_re = Array.make (dim * dim) 0. and u_im = Array.make (dim * dim) 0. in
-  for col = 0 to dim - 1 do
-    let s = make_flat k in
-    s.sl_re.(0).(col) <- 1.;
-    Circuit.iter (apply s) c;
-    for row = 0 to dim - 1 do
-      u_re.((row * dim) + col) <- snap s.sl_re.(0).(row);
-      u_im.((row * dim) + col) <- snap s.sl_im.(0).(row)
-    done
-  done;
-  (u_re, u_im)
-
-(* Diagonal / permutation / general, from the matrix itself (robust to
-   cancellations the gate list hides: H;Z;H classifies as the X-type
-   permutation it is). Off-diagonal zeros are exact after snapping;
-   permutation entries are unit-magnitude within 1e-9. *)
-type block_class =
-  | B_diag of float array * float array
-  | B_perm of int array * float array * float array
-  | B_dense
-
-let classify dim (u_re : float array) (u_im : float array) =
-  let diagonal = ref true in
-  (try
-     for row = 0 to dim - 1 do
-       for col = 0 to dim - 1 do
-         if row <> col then begin
-           let idx = (row * dim) + col in
-           if u_re.(idx) <> 0. || u_im.(idx) <> 0. then begin
-             diagonal := false;
-             raise Exit
-           end
-         end
-       done
-     done
-   with Exit -> ());
-  if !diagonal then
-    B_diag
-      ( Array.init dim (fun j -> u_re.((j * dim) + j)),
-        Array.init dim (fun j -> u_im.((j * dim) + j)) )
-  else begin
-    let perm = Array.make dim (-1) in
-    let ph_re = Array.make dim 0. and ph_im = Array.make dim 0. in
-    let ok = ref true in
-    for col = 0 to dim - 1 do
-      for row = 0 to dim - 1 do
-        let idx = (row * dim) + col in
-        let m = (u_re.(idx) *. u_re.(idx)) +. (u_im.(idx) *. u_im.(idx)) in
-        if m > 0.5 then begin
-          if Float.abs (m -. 1.) < 1e-9 then begin
-            perm.(col) <- row;
-            ph_re.(col) <- u_re.(idx);
-            ph_im.(col) <- u_im.(idx)
-          end
-          else ok := false
-        end
-        else if m > 1e-18 then ok := false
-      done;
-      if perm.(col) < 0 then ok := false
-    done;
-    if !ok then B_perm (perm, ph_re, ph_im) else B_dense
-  end
-
-(* Symbolic product of a monomial gate run on the block's local basis:
-   row.(b) is the output basis state of local input b, (pr, pi).(b) its
-   phase. O(2^k) per gate, no dense matrix — this is what lets monomial
-   blocks span 16 qubits. All updates are exact integer/constant
-   arithmetic, so classical blocks (CNOT chains, Toffoli cascades)
-   come out with exactly unit phases. *)
-let mono_block n (bits : int array) rev_gates =
-  let k = Array.length bits in
-  let dim = 1 lsl k in
-  let local q =
-    let r = ref 0 in
-    for b = 0 to k - 1 do
-      if bits.(b) = q then r := b
-    done;
-    !r
-  in
-  let c = Circuit.map_qubits ~n:k local (Circuit.of_rev_gates n rev_gates) in
-  let row = Array.init dim Fun.id in
-  let pr = Array.make dim 1. and pi = Array.make dim 0. in
-  let phase_if mask want (p : Complex.t) =
-    for b = 0 to dim - 1 do
-      if Array.unsafe_get row b land mask = want then begin
-        let r = Array.unsafe_get pr b and i = Array.unsafe_get pi b in
-        Array.unsafe_set pr b ((r *. p.re) -. (i *. p.im));
-        Array.unsafe_set pi b ((r *. p.im) +. (i *. p.re))
-      end
-    done
-  in
-  let flip_if mask want tbit =
-    for b = 0 to dim - 1 do
-      let r = Array.unsafe_get row b in
-      if r land mask = want then Array.unsafe_set row b (r lxor tbit)
-    done
-  in
-  Circuit.iter
-    (fun g ->
-      match g with
-      | Gate.X q -> flip_if 0 0 (1 lsl q)
-      | Gate.Y q ->
-          (* Y|0⟩ = i|1⟩, Y|1⟩ = -i|0⟩ *)
-          let bit = 1 lsl q in
-          for b = 0 to dim - 1 do
-            let r = row.(b) in
-            row.(b) <- r lxor bit;
-            let rr = pr.(b) and ii = pi.(b) in
-            if r land bit = 0 then begin
-              pr.(b) <- -.ii;
-              pi.(b) <- rr
-            end
-            else begin
-              pr.(b) <- ii;
-              pi.(b) <- -.rr
-            end
-          done
-      | Gate.Z q ->
-          let b = 1 lsl q in
-          phase_if b b cm1
-      | Gate.S q ->
-          let b = 1 lsl q in
-          phase_if b b ci
-      | Gate.Sdg q ->
-          let b = 1 lsl q in
-          phase_if b b cmi
-      | Gate.T q ->
-          let b = 1 lsl q in
-          phase_if b b omega
-      | Gate.Tdg q ->
-          let b = 1 lsl q in
-          phase_if b b omega_bar
-      | Gate.Rz (a, q) ->
-          let h = a /. 2. in
-          let bit = 1 lsl q in
-          phase_if bit 0 Complex.{ re = cos h; im = -.sin h };
-          phase_if bit bit Complex.{ re = cos h; im = sin h }
-      | Gate.Cnot (cq, t) ->
-          let cb = 1 lsl cq in
-          flip_if cb cb (1 lsl t)
-      | Gate.Cz (a, b) ->
-          let m = (1 lsl a) lor (1 lsl b) in
-          phase_if m m cm1
-      | Gate.Swap (a, b) ->
-          let ab = 1 lsl a and bb = 1 lsl b in
-          let both = ab lor bb in
-          for x = 0 to dim - 1 do
-            let r = row.(x) in
-            let v = r land both in
-            if v = ab || v = bb then row.(x) <- r lxor both
-          done
-      | Gate.Ccx (a, b, t) ->
-          let m = (1 lsl a) lor (1 lsl b) in
-          flip_if m m (1 lsl t)
-      | Gate.Ccz (a, b, cq) ->
-          let m = mask_of [ a; b; cq ] in
-          phase_if m m cm1
-      | Gate.Mcx (cs, t) ->
-          let m = mask_of cs in
-          flip_if m m (1 lsl t)
-      | Gate.Mcz qs ->
-          let m = mask_of qs in
-          phase_if m m cm1
-      | Gate.H _ -> assert false (* monomial blocks never contain H *))
-    c;
-  (row, pr, pi)
-
-(* The phase a sweep applies at global index [x] — used to fold a
-   pending sweep into a full-width block's phase table at build time,
-   which removes the sweep's memory pass from the schedule entirely. *)
-let sweep_phase_at sw x =
-  let l = x land sw.half_mask and g = x lsr sw.h in
-  let ar = sw.lo_re.(l) and ai = sw.lo_im.(l) in
-  let br = sw.hi_re.(g) and bi = sw.hi_im.(g) in
-  let rr = ref ((ar *. br) -. (ai *. bi))
-  and ri = ref ((ar *. bi) +. (ai *. br)) in
-  Array.iter
-    (fun tm ->
-      if x land tm.mask = tm.want then begin
-        let r = !rr and i = !ri in
-        rr := (r *. tm.pre) -. (i *. tm.pim);
-        ri := (r *. tm.pim) +. (i *. tm.pre)
-      end)
-    sw.straddling;
-  (!rr, !ri)
-
-let all_unit (pr : float array) (pi : float array) =
-  let ok = ref true in
-  for b = 0 to Array.length pr - 1 do
-    if pr.(b) <> 1. || pi.(b) <> 0. then ok := false
-  done;
-  !ok
-
-(* --- commuting-block peepholes --- *)
-
-(** [peephole gates] defers pending Hadamards: a monomial gate whose
+(** [peephole gates] defers pending Hadamards: a gate other than H whose
     support is disjoint from every deferred H commutes with them exactly
     (they act on different tensor factors), so it is emitted first. This
-    widens monomial runs across H layers and merges H gates on distinct
-    qubits into one butterfly block. Any overlap flushes the deferred
-    H's in order, so the result is always unitarily equal to the input
-    (the test suite cross-checks via [Unitary.of_gates]). *)
+    widens regions across H layers and merges H gates on distinct qubits
+    into one H layer. Any overlap flushes the deferred H's in
+    order, so the result is always unitarily equal to the input (the
+    test suite cross-checks via [Unitary.of_gates]). *)
 let peephole (gates : Gate.t array) =
   let out = ref [] in
   let pend_h = ref [] and pend_mask = ref 0 in
@@ -396,81 +77,13 @@ let peephole (gates : Gate.t array) =
           if bit land !pend_mask <> 0 then flush ();
           pend_h := g :: !pend_h;
           pend_mask := !pend_mask lor bit
-      | g when is_monomial g && gate_mask g land !pend_mask = 0 ->
-          out := g :: !out
+      | g when gate_mask g land !pend_mask = 0 -> out := g :: !out
       | g ->
           flush ();
           out := g :: !out)
     gates;
   flush ();
   Array.of_list (List.rev !out)
-
-(* Conservative commutation data for the kernel clustering pass:
-   (diagonal, touched-qubit mask if known, movable). Kernels carrying a
-   folded pre-sweep act as barriers — moving them would reorder the
-   sweep too. *)
-let kernel_traits = function
-  | K_gate g -> (is_diag g, Some (gate_mask g), true)
-  | K_sweep _ -> (true, None, true)
-  | K_diag { bits; _ } ->
-      (true, Some (Array.fold_left (fun m b -> m lor (1 lsl b)) 0 bits), true)
-  | K_perm { pre = None; bits; _ }
-  | K_had { pre = None; bits; _ }
-  | K_dense { pre = None; bits; _ } ->
-      (false, Some (Array.fold_left (fun m b -> m lor (1 lsl b)) 0 bits), true)
-  | K_perm _ | K_had _ | K_dense _ | K_perm_full _ -> (false, None, false)
-
-(* Two kernels commute exactly when both are diagonal (diagonal matrices
-   always commute) or their supports are disjoint (different tensor
-   factors). Only exact commutations qualify, so clustering never moves
-   the plan outside rounding distance of the unfused reference. *)
-let kernels_commute a b =
-  let da, ma, va = kernel_traits a and db, mb, vb = kernel_traits b in
-  va && vb
-  && ((da && db)
-     ||
-     match (ma, mb) with
-     | Some x, Some y -> x land y = 0
-     | _ -> false)
-
-let highest_bit m =
-  let b = ref (-1) and x = ref m in
-  while !x <> 0 do
-    incr b;
-    x := !x lsr 1
-  done;
-  !b
-
-(* Bubble commuting neighbours into ascending highest-touched-bit order
-   (diagonals sort lowest: they are slab-local at any layout). Low-bit
-   kernels cluster together between high-bit/cross-slab ones, so sharded
-   replay runs fewer exchange rounds. O(ops²) worst case on a schedule
-   that is already short. *)
-let cluster_ops (ops : kernel array) =
-  let n = Array.length ops in
-  if n < 2 then ops
-  else begin
-    let ops = Array.copy ops in
-    let key k =
-      let d, m, _ = kernel_traits k in
-      if d then -1
-      else match m with Some m -> highest_bit m | None -> max_int
-    in
-    let changed = ref true and rounds = ref 0 in
-    while !changed && !rounds < n do
-      changed := false;
-      incr rounds;
-      for i = 0 to n - 2 do
-        let a = ops.(i) and b = ops.(i + 1) in
-        if key b < key a && kernels_commute a b then begin
-          ops.(i) <- b;
-          ops.(i + 1) <- a;
-          changed := true
-        end
-      done
-    done;
-    ops
-  end
 
 (* --- building --- *)
 
@@ -479,210 +92,64 @@ let build circuit =
   let n = Circuit.num_qubits circuit in
   let gates = peephole (Circuit.to_array circuit) in
   let ng = Array.length gates in
-  (* pass 1: mark the maximal diagonal runs worth a separable sweep
-     ({!Sv_kernels.min_diag_run}) *)
-  let in_sweep = Array.make (max 1 ng) false in
-  let i = ref 0 in
-  while !i < ng do
-    if is_diag gates.(!i) then begin
-      let j = ref !i and ones = ref 0 in
-      while !j < ng && is_diag gates.(!j) do
-        if q1_of gates.(!j) >= 0 then incr ones;
-        incr j
-      done;
-      if !ones >= min_diag_run then
-        for x = !i to !j - 1 do
-          in_sweep.(x) <- true
-        done;
-      i := !j
-    end
-    else incr i
-  done;
-  (* pass 2: greedy block grouping of everything else, folding each
-     pending sweep into the next dense/permutation block *)
   let ops = ref [] and blocks = ref 0 and fused = ref 0 in
   let emit k = ops := k :: !ops in
-  let pending_sweep = ref None in
-  let take_sweep () =
-    let sw = !pending_sweep in
-    pending_sweep := None;
-    sw
+  let fuse k gates =
+    incr blocks;
+    fused := !fused + gates;
+    emit k
   in
-  let emit_sweep_if_pending () =
-    match take_sweep () with Some sw -> emit (K_sweep sw) | None -> ()
-  in
-  (* Pending block kinds: [P_mono] — monomial gates only, realized by a
-     symbolic basis table (wide); [P_had] — Hadamards on distinct
-     qubits, realized by in-register butterflies; [P_dense] — mixed
-     support on ≤ max_dense_qubits, realized by a dense matrix. *)
-  let pend_rev = ref [] and pend_mask = ref 0 in
-  let pend_n = ref 0 and pend_kind = ref `Mono in
-  let reset_pend () =
-    pend_rev := [];
-    pend_mask := 0;
-    pend_n := 0;
-    pend_kind := `Mono
-  in
-  let flush_block () =
-    (match !pend_rev with
+  (* at most one of the two is pending: the region being folded (its
+     gates, last first) or the H layer being collected *)
+  let r = Phase_poly.create n and region = ref [] and region_n = ref 0 in
+  let hads = ref [] and had_mask = ref 0 and had_n = ref 0 in
+  let flush_region () =
+    (match !region with
     | [] -> ()
-    | [ g ] ->
-        (* singletons re-emit the original gate: the specialized
-           kernels beat a generic block and stay exact *)
-        emit_sweep_if_pending ();
-        emit (K_gate g)
-    | revs -> (
-        let bits = bits_of_mask !pend_mask in
-        let k = Array.length bits in
-        let dim = 1 lsl k in
-        incr blocks;
-        fused := !fused + !pend_n;
-        match !pend_kind with
-        | `Had -> emit (K_had { pre = take_sweep (); bits; offs = offs_of bits })
-        | `Mono ->
-            let row, pr, pi = mono_block n bits revs in
-            (* full-width blocks fold the pending sweep into the phase
-               table now — its memory pass disappears entirely *)
-            if k = n then (
-              match take_sweep () with
-              | Some sw ->
-                  for b = 0 to dim - 1 do
-                    let sr, si = sweep_phase_at sw b in
-                    let r = pr.(b) and i = pi.(b) in
-                    pr.(b) <- (r *. sr) -. (i *. si);
-                    pi.(b) <- (r *. si) +. (i *. sr)
-                  done
-              | None -> ());
-            let identity = ref true in
-            for b = 0 to dim - 1 do
-              if row.(b) <> b then identity := false
-            done;
-            let unit = all_unit pr pi in
-            if !identity && unit then () (* block collapsed to identity *)
-            else if !identity then begin
-              emit_sweep_if_pending ();
-              emit (K_diag { bits; ph_re = pr; ph_im = pi })
-            end
-            else if k = n then begin
-              let inv = Array.make dim 0 in
-              for b = 0 to dim - 1 do
-                inv.(row.(b)) <- b
-              done;
-              emit
-                (K_perm_full { inv; ph = (if unit then None else Some (pr, pi)) })
-            end
-            else
-              emit
-                (K_perm
-                   { pre = take_sweep (); bits; offs = offs_of bits; perm = row;
-                     ph = (if unit then None else Some (pr, pi)) })
-        | `Dense -> (
-            let u_re, u_im = block_matrix n bits revs in
-            match classify dim u_re u_im with
-            | B_diag (ph_re, ph_im) ->
-                emit_sweep_if_pending ();
-                emit (K_diag { bits; ph_re; ph_im })
-            | B_perm (perm, ph_re, ph_im) ->
-                emit
-                  (K_perm
-                     { pre = take_sweep (); bits; offs = offs_of bits; perm;
-                       ph =
-                         (if all_unit ph_re ph_im then None
-                          else Some (ph_re, ph_im)) })
-            | B_dense ->
-                emit
-                  (K_dense
-                     { pre = take_sweep (); bits; offs = offs_of bits; u_re;
-                       u_im }))));
-    reset_pend ()
+    | [ g ] -> emit (K_gate g)
+    | _ -> Option.iter (fun sg -> fuse (K_segment sg) !region_n) (segment_of_region r));
+    if !region <> [] then begin
+      region := [];
+      region_n := 0;
+      Phase_poly.reset r
+    end
   in
-  let start_pend g gm kind =
-    pend_rev := [ g ];
-    pend_mask := gm;
-    pend_n := 1;
-    pend_kind := kind
+  let flush_had () =
+    (match !hads with
+    | [] -> ()
+    | [ g ] -> emit (K_gate g)
+    | _ -> fuse (K_had (bits_of_mask !had_mask)) !had_n);
+    hads := [];
+    had_mask := 0;
+    had_n := 0
   in
-  let merge g u kind =
-    pend_rev := g :: !pend_rev;
-    pend_mask := u;
-    pend_n := !pend_n + 1;
-    pend_kind := kind
-  in
-  (* Monomial merges are bounded by width and by build work
-     (gates × 2^k); Hadamard runs by scratch width; dense blocks form
-     only when supports genuinely overlap (fusing disjoint gates into a
-     Kronecker product multiplies arithmetic for nothing). *)
-  let mono_fits u extra =
-    let pc = popcount u in
-    pc <= max_mono_qubits && (!pend_n + extra) lsl pc <= max_block_work
-  in
-  Array.iteri
-    (fun idx g ->
-      if in_sweep.(idx) then begin
-        if idx = 0 || not in_sweep.(idx - 1) then begin
-          (* run start: collect the whole run into one sweep *)
-          flush_block ();
-          emit_sweep_if_pending ();
-          let terms = ref [] and j = ref idx and count = ref 0 in
-          while !j < ng && in_sweep.(!j) do
-            (match dterms_of_gate gates.(!j) with
-            | Some ts -> terms := ts :: !terms
-            | None -> assert false);
-            incr count;
-            incr j
-          done;
-          incr blocks;
-          fused := !fused + !count;
-          pending_sweep :=
-            Some
-              (sweep_of_terms n
-                 (Array.of_list (List.concat (List.rev !terms))))
-        end
-      end
-      else begin
-        let gm = gate_mask g and gmono = is_monomial g in
-        if gmono && popcount gm > max_mono_qubits then begin
-          (* wide MCX/MCZ: straight through the specialized kernel *)
-          flush_block ();
-          emit_sweep_if_pending ();
-          emit (K_gate g)
-        end
-        else if !pend_n = 0 then start_pend g gm (if gmono then `Mono else `Had)
-        else begin
-          let u = !pend_mask lor gm in
-          let overlap = !pend_mask land gm <> 0 in
-          match !pend_kind with
-          | `Mono ->
-              if gmono && mono_fits u 1 then merge g u `Mono
-              else if (not gmono) && overlap && popcount u <= max_dense_qubits
-              then merge g u `Dense
-              else begin
-                flush_block ();
-                start_pend g gm (if gmono then `Mono else `Had)
-              end
-          | `Had ->
-              if (not gmono) && (not overlap) && popcount u <= max_kron_qubits
-              then merge g u `Had
-              else if overlap && popcount u <= max_dense_qubits then
-                merge g u `Dense
-              else begin
-                flush_block ();
-                start_pend g gm (if gmono then `Mono else `Had)
-              end
-          | `Dense ->
-              if popcount u <= max_dense_qubits then merge g u `Dense
-              else begin
-                flush_block ();
-                start_pend g gm (if gmono then `Mono else `Had)
-              end
-        end
-      end)
+  Array.iter
+    (fun g ->
+      match g with
+      | Gate.H q ->
+          flush_region ();
+          let bit = 1 lsl q in
+          if bit land !had_mask <> 0 then flush_had ();
+          hads := g :: !hads;
+          had_mask := !had_mask lor bit;
+          incr had_n
+      | g ->
+          flush_had ();
+          if Phase_poly.term_count r > max_segment_terms - max_new_terms then flush_region ();
+          if Phase_poly.fold r g then begin
+            region := g :: !region;
+            incr region_n
+          end
+          else begin
+            flush_region ();
+            emit (K_gate g)
+          end)
     gates;
-  flush_block ();
-  emit_sweep_if_pending ();
+  flush_had ();
+  flush_region ();
   let p =
-    { n; ops = cluster_ops (Array.of_list (List.rev !ops)); blocks = !blocks;
-      fused_gates = !fused; source_gates = ng }
+    { n; ops = Array.of_list (List.rev !ops); blocks = !blocks; fused_gates = !fused;
+      source_gates = ng }
   in
   if Obs.enabled () then begin
     if p.blocks > 0 then begin
@@ -695,740 +162,57 @@ let build circuit =
   end;
   p
 
-(* --- replay kernels --- *)
-
-(* Expand a compressed group index by inserting a zero at each block
-   bit, ascending — bits.(b) is the bit's final position, valid
-   because all lower block bits are already inserted. *)
-let expand (bits : int array) i =
-  let x = ref i in
-  for b = 0 to Array.length bits - 1 do
-    let low = (1 lsl Array.unsafe_get bits b) - 1 in
-    x := ((!x land lnot low) lsl 1) lor (!x land low)
-  done;
-  !x
-
-(* Gather one group into scratch, optionally folding a diagonal
-   sweep's phase into each amplitude as it is read. *)
-let gather_plain (re : float array) (im : float array) (offs : int array)
-    (ar : float array) (ai : float array) base =
-  for j = 0 to Array.length offs - 1 do
-    let idx = base lor Array.unsafe_get offs j in
-    Array.unsafe_set ar j (Array.unsafe_get re idx);
-    Array.unsafe_set ai j (Array.unsafe_get im idx)
-  done
-
-(* The sweep phase at global index [idx], written into acc — shared by
-   every pre-folding gather so the arithmetic (and thus the floats) is
-   identical on all of them. *)
-let sweep_phase_acc (sw : sweep) (acc : float array) idx =
-  let l = idx land sw.half_mask and g = idx lsr sw.h in
-  let pr0 = Array.unsafe_get sw.lo_re l and pi0 = Array.unsafe_get sw.lo_im l in
-  let qr = Array.unsafe_get sw.hi_re g and qi = Array.unsafe_get sw.hi_im g in
-  acc.(0) <- (pr0 *. qr) -. (pi0 *. qi);
-  acc.(1) <- (pr0 *. qi) +. (pi0 *. qr);
-  let straddling = sw.straddling in
-  for t = 0 to Array.length straddling - 1 do
-    let tm = Array.unsafe_get straddling t in
-    if idx land tm.mask = tm.want then begin
-      let r = acc.(0) and i = acc.(1) in
-      acc.(0) <- (r *. tm.pre) -. (i *. tm.pim);
-      acc.(1) <- (r *. tm.pim) +. (i *. tm.pre)
-    end
-  done
-
-let gather_pre (re : float array) (im : float array) (offs : int array)
-    (ar : float array) (ai : float array) (sw : sweep) base =
-  let acc = [| 1.; 0. |] in
-  for j = 0 to Array.length offs - 1 do
-    let idx = base lor Array.unsafe_get offs j in
-    sweep_phase_acc sw acc idx;
-    let pr = acc.(0) and pi = acc.(1) in
-    let vr = Array.unsafe_get re idx and vi = Array.unsafe_get im idx in
-    Array.unsafe_set ar j ((pr *. vr) -. (pi *. vi));
-    Array.unsafe_set ai j ((pr *. vi) +. (pi *. vr))
-  done
-
-(* Slab-local gather with a pre-sweep: values live at local offsets
-   ([lbase]), the sweep tables want the global index ([gbase]). Same
-   float expressions as {!gather_pre}. *)
-let gather_pre_sl (re : float array) (im : float array) (offs : int array)
-    (ar : float array) (ai : float array) (sw : sweep) gbase lbase =
-  let acc = [| 1.; 0. |] in
-  for j = 0 to Array.length offs - 1 do
-    let off = Array.unsafe_get offs j in
-    sweep_phase_acc sw acc (gbase lor off);
-    let pr = acc.(0) and pi = acc.(1) in
-    let idx = lbase lor off in
-    let vr = Array.unsafe_get re idx and vi = Array.unsafe_get im idx in
-    Array.unsafe_set ar j ((pr *. vr) -. (pi *. vi));
-    Array.unsafe_set ai j ((pr *. vi) +. (pi *. vr))
-  done
-
-(* Global-accessor gathers for the rare cross-slab narrow blocks. *)
-let gather_plain_g s (offs : int array) (ar : float array) (ai : float array)
-    base =
-  for j = 0 to Array.length offs - 1 do
-    let idx = base lor Array.unsafe_get offs j in
-    Array.unsafe_set ar j (get_re s idx);
-    Array.unsafe_set ai j (get_im s idx)
-  done
-
-let gather_pre_g s (offs : int array) (ar : float array) (ai : float array)
-    (sw : sweep) base =
-  let acc = [| 1.; 0. |] in
-  for j = 0 to Array.length offs - 1 do
-    let idx = base lor Array.unsafe_get offs j in
-    sweep_phase_acc sw acc idx;
-    let pr = acc.(0) and pi = acc.(1) in
-    let vr = get_re s idx and vi = get_im s idx in
-    Array.unsafe_set ar j ((pr *. vr) -. (pi *. vi));
-    Array.unsafe_set ai j ((pr *. vi) +. (pi *. vr))
-  done
-
-let seg_dense (re : float array) (im : float array) (bits : int array)
-    (offs : int array) (u_re : float array) (u_im : float array)
-    (pre : sweep option) lo hi =
-  let dim = Array.length offs in
-  let ar = Array.make dim 0. and ai = Array.make dim 0. in
-  let br = Array.make dim 0. and bi = Array.make dim 0. in
-  for i = lo to hi - 1 do
-    let base = expand bits i in
-    (match pre with
-    | None -> gather_plain re im offs ar ai base
-    | Some sw -> gather_pre re im offs ar ai sw base);
-    for row = 0 to dim - 1 do
-      let rb = row * dim in
-      Array.unsafe_set br row 0.;
-      Array.unsafe_set bi row 0.;
-      for c = 0 to dim - 1 do
-        let ur = Array.unsafe_get u_re (rb + c)
-        and ui = Array.unsafe_get u_im (rb + c) in
-        let xr = Array.unsafe_get ar c and xi = Array.unsafe_get ai c in
-        Array.unsafe_set br row
-          (Array.unsafe_get br row +. ((ur *. xr) -. (ui *. xi)));
-        Array.unsafe_set bi row
-          (Array.unsafe_get bi row +. ((ur *. xi) +. (ui *. xr)))
-      done
-    done;
-    for j = 0 to dim - 1 do
-      let idx = base lor Array.unsafe_get offs j in
-      Array.unsafe_set re idx (Array.unsafe_get br j);
-      Array.unsafe_set im idx (Array.unsafe_get bi j)
-    done
-  done
-
-(* The dense matvec on a gathered group — shared by the flat and
-   cross-slab dense kernels (identical arithmetic). *)
-let dense_matvec dim (u_re : float array) (u_im : float array)
-    (ar : float array) (ai : float array) (br : float array) (bi : float array)
-    =
-  for row = 0 to dim - 1 do
-    let rb = row * dim in
-    Array.unsafe_set br row 0.;
-    Array.unsafe_set bi row 0.;
-    for c = 0 to dim - 1 do
-      let ur = Array.unsafe_get u_re (rb + c)
-      and ui = Array.unsafe_get u_im (rb + c) in
-      let xr = Array.unsafe_get ar c and xi = Array.unsafe_get ai c in
-      Array.unsafe_set br row
-        (Array.unsafe_get br row +. ((ur *. xr) -. (ui *. xi)));
-      Array.unsafe_set bi row
-        (Array.unsafe_get bi row +. ((ur *. xi) +. (ui *. xr)))
-    done
-  done
-
-(* Sharded slab-local dense kernel: compressed indices range over the
-   slab; [sbase] recovers global indices for the pre-sweep tables.
-   Caller-provided scratch, as in {!seg_perm_sl}. *)
-let seg_dense_sl (re : float array) (im : float array) (bits : int array)
-    (offs : int array) (u_re : float array) (u_im : float array)
-    (pre : sweep option) (ar : float array) (ai : float array)
-    (br : float array) (bi : float array) sbase lo hi =
-  let dim = Array.length offs in
-  for i = lo to hi - 1 do
-    let lbase = expand bits i in
-    (match pre with
-    | None -> gather_plain re im offs ar ai lbase
-    | Some sw -> gather_pre_sl re im offs ar ai sw (sbase lor lbase) lbase);
-    dense_matvec dim u_re u_im ar ai br bi;
-    for j = 0 to dim - 1 do
-      let idx = lbase lor Array.unsafe_get offs j in
-      Array.unsafe_set re idx (Array.unsafe_get br j);
-      Array.unsafe_set im idx (Array.unsafe_get bi j)
-    done
-  done
-
-(* Cross-slab dense kernel through the global accessors. *)
-let seg_dense_g s (bits : int array) (offs : int array) (u_re : float array)
-    (u_im : float array) (pre : sweep option) lo hi =
-  let dim = Array.length offs in
-  let ar = Array.make dim 0. and ai = Array.make dim 0. in
-  let br = Array.make dim 0. and bi = Array.make dim 0. in
-  for i = lo to hi - 1 do
-    let base = expand bits i in
-    (match pre with
-    | None -> gather_plain_g s offs ar ai base
-    | Some sw -> gather_pre_g s offs ar ai sw base);
-    dense_matvec dim u_re u_im ar ai br bi;
-    for j = 0 to dim - 1 do
-      let idx = base lor Array.unsafe_get offs j in
-      set_re s idx (Array.unsafe_get br j);
-      set_im s idx (Array.unsafe_get bi j)
-    done
-  done
-
-let seg_perm (re : float array) (im : float array) (bits : int array)
-    (offs : int array) (perm : int array)
-    (ph : (float array * float array) option) (pre : sweep option) lo hi =
-  let dim = Array.length offs in
-  let ar = Array.make dim 0. and ai = Array.make dim 0. in
-  match ph with
-  | None ->
-      (* all phases exactly 1 (pure classical block): move-only scatter *)
-      for i = lo to hi - 1 do
-        let base = expand bits i in
-        (match pre with
-        | None -> gather_plain re im offs ar ai base
-        | Some sw -> gather_pre re im offs ar ai sw base);
-        for c = 0 to dim - 1 do
-          let row = Array.unsafe_get perm c in
-          let idx = base lor Array.unsafe_get offs row in
-          Array.unsafe_set re idx (Array.unsafe_get ar c);
-          Array.unsafe_set im idx (Array.unsafe_get ai c)
-        done
-      done
-  | Some (ph_re, ph_im) ->
-      for i = lo to hi - 1 do
-        let base = expand bits i in
-        (match pre with
-        | None -> gather_plain re im offs ar ai base
-        | Some sw -> gather_pre re im offs ar ai sw base);
-        for c = 0 to dim - 1 do
-          let row = Array.unsafe_get perm c in
-          let pr = Array.unsafe_get ph_re c and pi = Array.unsafe_get ph_im c in
-          let xr = Array.unsafe_get ar c and xi = Array.unsafe_get ai c in
-          let idx = base lor Array.unsafe_get offs row in
-          Array.unsafe_set re idx ((pr *. xr) -. (pi *. xi));
-          Array.unsafe_set im idx ((pr *. xi) +. (pi *. xr))
-        done
-      done
-
-(* Sharded slab-local permutation kernel (all block bits below the slab
-   bit): group indices and offsets are slab-local, [sbase] recovers the
-   global index for the pre-sweep. Scratch ([ar]/[ai], group-sized)
-   comes from the caller so one allocation serves a whole slab range —
-   wide blocks would otherwise churn megabytes of garbage per slab. *)
-let seg_perm_sl (re : float array) (im : float array) (bits : int array)
-    (offs : int array) (perm : int array)
-    (ph : (float array * float array) option) (pre : sweep option)
-    (ar : float array) (ai : float array) sbase lo hi =
-  let dim = Array.length offs in
-  for i = lo to hi - 1 do
-    let lbase = expand bits i in
-    (match pre with
-    | None -> gather_plain re im offs ar ai lbase
-    | Some sw -> gather_pre_sl re im offs ar ai sw (sbase lor lbase) lbase);
-    (match ph with
-    | None ->
-        for c = 0 to dim - 1 do
-          let row = Array.unsafe_get perm c in
-          let idx = lbase lor Array.unsafe_get offs row in
-          Array.unsafe_set re idx (Array.unsafe_get ar c);
-          Array.unsafe_set im idx (Array.unsafe_get ai c)
-        done
-    | Some (ph_re, ph_im) ->
-        for c = 0 to dim - 1 do
-          let row = Array.unsafe_get perm c in
-          let pr = Array.unsafe_get ph_re c and pi = Array.unsafe_get ph_im c in
-          let xr = Array.unsafe_get ar c and xi = Array.unsafe_get ai c in
-          let idx = lbase lor Array.unsafe_get offs row in
-          Array.unsafe_set re idx ((pr *. xr) -. (pi *. xi));
-          Array.unsafe_set im idx ((pr *. xi) +. (pi *. xr))
-        done)
-  done
-
-(* Cross-slab narrow permutation, destination-major: out-of-place
-   through the ping-pong scratch. Within an aligned run of 2^bits.(0)
-   destinations every block bit is constant, so the block row — and
-   with it the source base and phase — is fixed, and both sides stream
-   contiguously (clamped to slab boundaries when a run is wider than a
-   slab). Group-major gather/scatter walks dim strided locations per
-   group; this order is a sequence of straight copies. The arithmetic
-   per amplitude is exactly {!seg_perm}'s — the pre-sweep multiply at
-   the source index, then the block phase — and each destination is
-   written once, so chunking the run range is bit-identical. [t]
-   indexes runs: run t covers global indices [t·2^bits.(0),
-   (t+1)·2^bits.(0)). *)
-let seg_perm_stream s (out_re : float array array)
-    (out_im : float array array) (bits : int array) (offs : int array)
-    (pinv : int array) (ph : (float array * float array) option)
-    (pre : sweep option) tlo thi =
-  let k = Array.length bits in
-  let b0 = Array.unsafe_get bits 0 in
-  let run = 1 lsl b0 in
-  let bmask = ref 0 in
-  for b = 0 to k - 1 do
-    bmask := !bmask lor (1 lsl Array.unsafe_get bits b)
-  done;
-  let bmask = !bmask in
-  let sb = s.sb and smask = s.smask in
-  let acc = [| 1.; 0. |] in
-  for t = tlo to thi - 1 do
-    let d0 = t lsl b0 in
-    let r = ref 0 in
-    for b = 0 to k - 1 do
-      if d0 land (1 lsl Array.unsafe_get bits b) <> 0 then
-        r := !r lor (1 lsl b)
-    done;
-    let c = Array.unsafe_get pinv !r in
-    let src0 = (d0 land lnot bmask) lor Array.unsafe_get offs c in
-    let j = ref 0 in
-    while !j < run do
-      let d = d0 lor !j and x = src0 lor !j in
-      let dof = d land smask and sof = x land smask in
-      let len = min (run - !j) (min (smask + 1 - dof) (smask + 1 - sof)) in
-      let dre = Array.unsafe_get out_re (d lsr sb)
-      and dim_ = Array.unsafe_get out_im (d lsr sb) in
-      let sre = Array.unsafe_get s.sl_re (x lsr sb)
-      and sim = Array.unsafe_get s.sl_im (x lsr sb) in
-      (match (pre, ph) with
-      | None, None ->
-          for e = 0 to len - 1 do
-            Array.unsafe_set dre (dof + e) (Array.unsafe_get sre (sof + e));
-            Array.unsafe_set dim_ (dof + e) (Array.unsafe_get sim (sof + e))
-          done
-      | None, Some (ph_re, ph_im) ->
-          let pr = Array.unsafe_get ph_re c and pi = Array.unsafe_get ph_im c in
-          for e = 0 to len - 1 do
-            let vr = Array.unsafe_get sre (sof + e)
-            and vi = Array.unsafe_get sim (sof + e) in
-            Array.unsafe_set dre (dof + e) ((pr *. vr) -. (pi *. vi));
-            Array.unsafe_set dim_ (dof + e) ((pr *. vi) +. (pi *. vr))
-          done
-      | Some sw, None ->
-          for e = 0 to len - 1 do
-            sweep_phase_acc sw acc (x + e);
-            let spr = acc.(0) and spi = acc.(1) in
-            let vr = Array.unsafe_get sre (sof + e)
-            and vi = Array.unsafe_get sim (sof + e) in
-            Array.unsafe_set dre (dof + e) ((spr *. vr) -. (spi *. vi));
-            Array.unsafe_set dim_ (dof + e) ((spr *. vi) +. (spi *. vr))
-          done
-      | Some sw, Some (ph_re, ph_im) ->
-          let pr = Array.unsafe_get ph_re c and pi = Array.unsafe_get ph_im c in
-          for e = 0 to len - 1 do
-            sweep_phase_acc sw acc (x + e);
-            let spr = acc.(0) and spi = acc.(1) in
-            let vr = Array.unsafe_get sre (sof + e)
-            and vi = Array.unsafe_get sim (sof + e) in
-            let gr = (spr *. vr) -. (spi *. vi)
-            and gi = (spr *. vi) +. (spi *. vr) in
-            Array.unsafe_set dre (dof + e) ((pr *. gr) -. (pi *. gi));
-            Array.unsafe_set dim_ (dof + e) ((pr *. gi) +. (pi *. gr))
-          done);
-      j := !j + len
-    done
-  done
-
-(* Full-width permutation: out-of-place through the inverse map, so
-   writes are sequential (reads scatter, which caches better than
-   scattered writes) and chunks write disjoint output slices. *)
-let seg_perm_full (re : float array) (im : float array) (out_re : float array)
-    (out_im : float array) (inv : int array)
-    (ph : (float array * float array) option) lo hi =
-  match ph with
-  | None ->
-      for y = lo to hi - 1 do
-        let x = Array.unsafe_get inv y in
-        Array.unsafe_set out_re y (Array.unsafe_get re x);
-        Array.unsafe_set out_im y (Array.unsafe_get im x)
-      done
-  | Some (ph_re, ph_im) ->
-      for y = lo to hi - 1 do
-        let x = Array.unsafe_get inv y in
-        let pr = Array.unsafe_get ph_re x and pi = Array.unsafe_get ph_im x in
-        let vr = Array.unsafe_get re x and vi = Array.unsafe_get im x in
-        Array.unsafe_set out_re y ((pr *. vr) -. (pi *. vi));
-        Array.unsafe_set out_im y ((pr *. vi) +. (pi *. vr))
-      done
-
-(* Sharded full-width permutation, the pair-exchange schedule's general
-   case: each destination slab is written sequentially (y ascending),
-   reads go through the global accessors via the inverse map. One task
-   per output slab — no locks, disjoint writes, and the same per-
-   amplitude move/phase expressions as {!seg_perm_full}. *)
-let seg_perm_full_sh s (out_re : float array) (out_im : float array)
-    (inv : int array) (ph : (float array * float array) option) sbase ssz =
-  match ph with
-  | None ->
-      for y = 0 to ssz - 1 do
-        let x = Array.unsafe_get inv (sbase lor y) in
-        Array.unsafe_set out_re y (get_re s x);
-        Array.unsafe_set out_im y (get_im s x)
-      done
-  | Some (ph_re, ph_im) ->
-      for y = 0 to ssz - 1 do
-        let x = Array.unsafe_get inv (sbase lor y) in
-        let pr = Array.unsafe_get ph_re x and pi = Array.unsafe_get ph_im x in
-        let vr = get_re s x and vi = get_im s x in
-        Array.unsafe_set out_re y ((pr *. vr) -. (pi *. vi));
-        Array.unsafe_set out_im y ((pr *. vi) +. (pi *. vr))
-      done
-
-(* Hadamards on the block's k distinct qubits: gather a group, run one
-   in-scratch butterfly round per qubit, scatter. Arithmetic per
-   amplitude matches the k separate passes it replaces — the win is
-   k memory passes collapsing into one. *)
-let seg_had (re : float array) (im : float array) (bits : int array)
-    (offs : int array) (pre : sweep option) lo hi =
-  let dim = Array.length offs in
-  let k = Array.length bits in
-  let ar = Array.make dim 0. and ai = Array.make dim 0. in
-  for i = lo to hi - 1 do
-    let base = expand bits i in
-    (match pre with
-    | None -> gather_plain re im offs ar ai base
-    | Some sw -> gather_pre re im offs ar ai sw base);
-    for b = 0 to k - 1 do
-      let st = 1 lsl b in
-      for x = 0 to dim - 1 do
-        if x land st = 0 then begin
-          let y = x lor st in
-          let xr = Array.unsafe_get ar x and xi = Array.unsafe_get ai x in
-          let yr = Array.unsafe_get ar y and yi = Array.unsafe_get ai y in
-          Array.unsafe_set ar x (sqrt2inv *. (xr +. yr));
-          Array.unsafe_set ai x (sqrt2inv *. (xi +. yi));
-          Array.unsafe_set ar y (sqrt2inv *. (xr -. yr));
-          Array.unsafe_set ai y (sqrt2inv *. (xi -. yi))
-        end
-      done
-    done;
-    for j = 0 to dim - 1 do
-      let idx = base lor Array.unsafe_get offs j in
-      Array.unsafe_set re idx (Array.unsafe_get ar j);
-      Array.unsafe_set im idx (Array.unsafe_get ai j)
-    done
-  done
-
-(* Slab-local Hadamard kernel (all block bits below the slab bit).
-   Caller-provided scratch, as in {!seg_perm_sl}. *)
-let seg_had_sl (re : float array) (im : float array) (bits : int array)
-    (offs : int array) (pre : sweep option) (ar : float array)
-    (ai : float array) sbase lo hi =
-  let dim = Array.length offs in
-  let k = Array.length bits in
-  for i = lo to hi - 1 do
-    let lbase = expand bits i in
-    (match pre with
-    | None -> gather_plain re im offs ar ai lbase
-    | Some sw -> gather_pre_sl re im offs ar ai sw (sbase lor lbase) lbase);
-    for b = 0 to k - 1 do
-      let st = 1 lsl b in
-      for x = 0 to dim - 1 do
-        if x land st = 0 then begin
-          let y = x lor st in
-          let xr = Array.unsafe_get ar x and xi = Array.unsafe_get ai x in
-          let yr = Array.unsafe_get ar y and yi = Array.unsafe_get ai y in
-          Array.unsafe_set ar x (sqrt2inv *. (xr +. yr));
-          Array.unsafe_set ai x (sqrt2inv *. (xi +. yi));
-          Array.unsafe_set ar y (sqrt2inv *. (xr -. yr));
-          Array.unsafe_set ai y (sqrt2inv *. (xi -. yi))
-        end
-      done
-    done;
-    for j = 0 to dim - 1 do
-      let idx = lbase lor Array.unsafe_get offs j in
-      Array.unsafe_set re idx (Array.unsafe_get ar j);
-      Array.unsafe_set im idx (Array.unsafe_get ai j)
-    done
-  done
-
-(* Unconditional sweep-multiply pass: a pre-sweep that could not fold
-   into a gather (the block's bits are all cross-slab) applies to every
-   amplitude with the exact {!gather_pre} arithmetic — unconditional
-   multiply, no skip-when-unit, so the floats match the folded form. *)
-let seg_sweep_mul (re : float array) (im : float array) (sw : sweep) sbase lo
-    hi =
-  let acc = [| 1.; 0. |] in
-  for x = lo to hi - 1 do
-    sweep_phase_acc sw acc (sbase lor x);
-    let pr = acc.(0) and pi = acc.(1) in
-    let vr = re.(x) and vi = im.(x) in
-    re.(x) <- (pr *. vr) -. (pi *. vi);
-    im.(x) <- (pr *. vi) +. (pi *. vr)
-  done
-
-(* Cross-slab butterfly: the high block bits address whole slabs, so the
-   pair partners sit at the *same* local offset of 2^kh slabs — stream
-   those slabs in lockstep, one column of scratch registers per local
-   index. Rounds run in ascending bit order after the slab-local rounds,
-   exactly the order {!seg_had} uses, so every amplitude sees the
-   identical operation sequence. Chunks split the local index range:
-   each chunk owns columns [lo, hi) of every slab — disjoint writes. *)
-let seg_had_high (sl_re : float array array) (sl_im : float array array)
-    (hoffs : int array) hmask kh nslabs lo hi =
-  let dim = Array.length hoffs in
-  let ar = Array.make dim 0. and ai = Array.make dim 0. in
-  let rr = Array.make dim [||] and ri = Array.make dim [||] in
-  for g = 0 to nslabs - 1 do
-    if g land hmask = 0 then begin
-      for j = 0 to dim - 1 do
-        rr.(j) <- sl_re.(g lor Array.unsafe_get hoffs j);
-        ri.(j) <- sl_im.(g lor Array.unsafe_get hoffs j)
-      done;
-      for i = lo to hi - 1 do
-        for j = 0 to dim - 1 do
-          Array.unsafe_set ar j (Array.unsafe_get (Array.unsafe_get rr j) i);
-          Array.unsafe_set ai j (Array.unsafe_get (Array.unsafe_get ri j) i)
-        done;
-        for b = 0 to kh - 1 do
-          let st = 1 lsl b in
-          for x = 0 to dim - 1 do
-            if x land st = 0 then begin
-              let y = x lor st in
-              let xr = Array.unsafe_get ar x and xi = Array.unsafe_get ai x in
-              let yr = Array.unsafe_get ar y and yi = Array.unsafe_get ai y in
-              Array.unsafe_set ar x (sqrt2inv *. (xr +. yr));
-              Array.unsafe_set ai x (sqrt2inv *. (xi +. yi));
-              Array.unsafe_set ar y (sqrt2inv *. (xr -. yr));
-              Array.unsafe_set ai y (sqrt2inv *. (xi -. yi))
-            end
-          done
-        done;
-        for j = 0 to dim - 1 do
-          Array.unsafe_set (Array.unsafe_get rr j) i (Array.unsafe_get ar j);
-          Array.unsafe_set (Array.unsafe_get ri j) i (Array.unsafe_get ai j)
-        done
-      done
-    end
-  done
-
-let seg_diag_block (re : float array) (im : float array) (bits : int array)
-    (ph_re : float array) (ph_im : float array) lo hi =
-  let k = Array.length bits in
-  for x = lo to hi - 1 do
-    let j = ref 0 in
-    for b = 0 to k - 1 do
-      if x land (1 lsl Array.unsafe_get bits b) <> 0 then
-        j := !j lor (1 lsl b)
-    done;
-    let pr = Array.unsafe_get ph_re !j and pi = Array.unsafe_get ph_im !j in
-    if not (pr = 1. && pi = 0.) then begin
-      let r = re.(x) and i = im.(x) in
-      re.(x) <- (pr *. r) -. (pi *. i);
-      im.(x) <- (pr *. i) +. (pi *. r)
-    end
-  done
-
-(* Sharded diagonal block: local writes, bit tests on the global index.
-   Diagonals never cross slabs whatever their bits. *)
-let seg_diag_block_sl (re : float array) (im : float array) (bits : int array)
-    (ph_re : float array) (ph_im : float array) sbase lo hi =
-  let k = Array.length bits in
-  for x = lo to hi - 1 do
-    let gx = sbase lor x in
-    let j = ref 0 in
-    for b = 0 to k - 1 do
-      if gx land (1 lsl Array.unsafe_get bits b) <> 0 then
-        j := !j lor (1 lsl b)
-    done;
-    let pr = Array.unsafe_get ph_re !j and pi = Array.unsafe_get ph_im !j in
-    if not (pr = 1. && pi = 0.) then begin
-      let r = re.(x) and i = im.(x) in
-      re.(x) <- (pr *. r) -. (pi *. i);
-      im.(x) <- (pr *. i) +. (pi *. r)
-    end
-  done
-
-(* Chunk a kernel's index range over the pool when the *state* (not
-   the compressed range) is big enough to amortize the pool. *)
-let run_seg s stop seg =
-  if size s <= par_threshold then seg 0 stop
-  else
-    Par.parallel_for (Par.global ()) ~start:0 ~stop (fun lo hi -> seg lo hi)
-
-(* Slab-range driver: one call per pool chunk over a contiguous slab
-   range, so kernels can allocate group scratch once per chunk instead
-   of once per slab (a wide block's scratch times hundreds of slabs is
-   real GC pressure). Slabs hold disjoint amplitudes, so any chunking
-   is bit-identical. *)
-let run_slab_ranges s f =
-  if size s <= par_threshold then f 0 (slab_count s)
-  else Par.parallel_for (Par.global ()) ~start:0 ~stop:(slab_count s) f
-
-(* The ping-pong scratch slab set shared by the out-of-place kernels of
-   one [execute] (allocated on first use, then recycled: the state's
-   old slabs become the next kernel's scratch). Uninitialized on
-   purpose — every out-of-place kernel writes every destination before
-   the swap, and pre-zeroing would cost a full extra memory pass. *)
-let acquire_scratch s scratch =
-  match !scratch with
-  | Some pair -> pair
-  | None ->
-      let slabs = slab_count s and ssz = slab_size s in
-      let pair =
-        ( Array.init slabs (fun _ -> Array.create_float ssz),
-          Array.init slabs (fun _ -> Array.create_float ssz) )
-      in
-      scratch := Some pair;
-      pair
-
-(* All block bits below the slab bit → slab-local replay. [bits] is
-   ascending (built by {!bits_of_mask}). *)
-let bits_local s (bits : int array) =
-  let k = Array.length bits in
-  k = 0 || bits.(k - 1) < s.sb
+(* --- replay --- *)
 
 let exec_kernel s scratch = function
   | K_gate g -> apply s g
-  | K_sweep sw -> apply_sweep s sw
-  | K_diag { bits; ph_re; ph_im } ->
-      if not (sharded s) then
-        run_seg s (size s)
-          (seg_diag_block s.sl_re.(0) s.sl_im.(0) bits ph_re ph_im)
-      else
-        run_slabs s (fun sl ->
-            seg_diag_block_sl s.sl_re.(sl) s.sl_im.(sl) bits ph_re ph_im
-              (sl lsl s.sb) 0 (slab_size s))
-  | K_perm { pre; bits; offs; perm; ph } ->
-      let k = Array.length bits in
-      if not (sharded s) then
-        run_seg s
-          (size s lsr k)
-          (seg_perm s.sl_re.(0) s.sl_im.(0) bits offs perm ph pre)
-      else if bits_local s bits then begin
-        let groups = slab_size s lsr k in
-        let dim = Array.length offs in
-        run_slab_ranges s (fun slo shi ->
-            let ar = Array.make dim 0. and ai = Array.make dim 0. in
-            for sl = slo to shi - 1 do
-              seg_perm_sl s.sl_re.(sl) s.sl_im.(sl) bits offs perm ph pre ar
-                ai (sl lsl s.sb) 0 groups
-            done)
-      end
-      else begin
-        (* cross-slab: destination-major streaming, out-of-place *)
-        let pinv = Array.make (Array.length perm) 0 in
-        Array.iteri (fun c r -> Array.unsafe_set pinv r c) perm;
-        let out_re, out_im = acquire_scratch s scratch in
-        let runs = size s lsr bits.(0) in
-        (if size s <= par_threshold then
-           seg_perm_stream s out_re out_im bits offs pinv ph pre 0 runs
-         else
-           Par.parallel_for (Par.global ()) ~start:0 ~stop:runs (fun lo hi ->
-               seg_perm_stream s out_re out_im bits offs pinv ph pre lo hi));
-        scratch := Some (s.sl_re, s.sl_im);
-        s.sl_re <- out_re;
-        s.sl_im <- out_im
-      end
-  | K_perm_full { inv; ph } ->
-      let ssz = slab_size s in
-      let out_re, out_im = acquire_scratch s scratch in
-      if not (sharded s) then
-        run_seg s (size s)
-          (seg_perm_full s.sl_re.(0) s.sl_im.(0) out_re.(0) out_im.(0) inv ph)
-      else
-        run_slabs s (fun sl ->
-            seg_perm_full_sh s out_re.(sl) out_im.(sl) inv ph (sl lsl s.sb) ssz);
-      (* ping-pong: the old slabs become the next op's scratch *)
-      scratch := Some (s.sl_re, s.sl_im);
-      s.sl_re <- out_re;
-      s.sl_im <- out_im
-  | K_had { pre; bits; offs } ->
-      let k = Array.length bits in
-      if not (sharded s) then
-        run_seg s (size s lsr k) (seg_had s.sl_re.(0) s.sl_im.(0) bits offs pre)
-      else if bits_local s bits then begin
-        let groups = slab_size s lsr k in
-        let dim = Array.length offs in
-        run_slab_ranges s (fun slo shi ->
-            let ar = Array.make dim 0. and ai = Array.make dim 0. in
-            for sl = slo to shi - 1 do
-              seg_had_sl s.sl_re.(sl) s.sl_im.(sl) bits offs pre ar ai
-                (sl lsl s.sb) 0 groups
-            done)
-      end
-      else begin
-        (* split: slab-local butterfly rounds first (with the pre-sweep
-           folded into their gather), then the cross-slab rounds stream
-           slab tuples in lockstep — same ascending-bit round order and
-           identical per-amplitude arithmetic as the one-pass kernel *)
-        let nlow = ref 0 in
-        while !nlow < k && bits.(!nlow) < s.sb do
-          incr nlow
-        done;
-        let nlow = !nlow in
-        (if nlow > 0 then begin
-           let lbits = Array.sub bits 0 nlow in
-           let loffs = offs_of lbits in
-           let groups = slab_size s lsr nlow in
-           let ldim = Array.length loffs in
-           run_slab_ranges s (fun slo shi ->
-               let ar = Array.make ldim 0. and ai = Array.make ldim 0. in
-               for sl = slo to shi - 1 do
-                 seg_had_sl s.sl_re.(sl) s.sl_im.(sl) lbits loffs pre ar ai
-                   (sl lsl s.sb) 0 groups
-               done)
-         end
-         else
-           match pre with
-           | Some sw ->
-               run_slabs s (fun sl ->
-                   seg_sweep_mul s.sl_re.(sl) s.sl_im.(sl) sw (sl lsl s.sb) 0
-                     (slab_size s))
-           | None -> ());
-        let kh = k - nlow in
-        let hoffs = offs_of (Array.init kh (fun i -> bits.(nlow + i) - s.sb)) in
-        let hmask =
-          let m = ref 0 in
-          for i = nlow to k - 1 do
-            m := !m lor (1 lsl (bits.(i) - s.sb))
-          done;
-          !m
-        in
-        let sl_re = s.sl_re and sl_im = s.sl_im in
-        let slabs = slab_count s in
-        let body lo hi = seg_had_high sl_re sl_im hoffs hmask kh slabs lo hi in
-        if size s <= par_threshold then body 0 (slab_size s)
-        else
-          Par.parallel_for (Par.global ()) ~start:0 ~stop:(slab_size s) body
-      end
-  | K_dense { pre; bits; offs; u_re; u_im } ->
-      let k = Array.length bits in
-      if not (sharded s) then
-        run_seg s
-          (size s lsr k)
-          (seg_dense s.sl_re.(0) s.sl_im.(0) bits offs u_re u_im pre)
-      else if bits_local s bits then begin
-        let groups = slab_size s lsr k in
-        let dim = Array.length offs in
-        run_slab_ranges s (fun slo shi ->
-            let ar = Array.make dim 0. and ai = Array.make dim 0. in
-            let br = Array.make dim 0. and bi = Array.make dim 0. in
-            for sl = slo to shi - 1 do
-              seg_dense_sl s.sl_re.(sl) s.sl_im.(sl) bits offs u_re u_im pre
-                ar ai br bi (sl lsl s.sb) 0 groups
-            done)
-      end
-      else run_seg s (size s lsr k) (seg_dense_g s bits offs u_re u_im pre)
+  | K_had bits -> Array.iter (apply_h s) bits
+  | K_segment sg ->
+      (* one scratch slab set per [execute], allocated on first use;
+         the segment swaps it with the state's slabs *)
+      let scr =
+        match !scratch with
+        | Some scr -> scr
+        | None ->
+            let scr = scratch_for s in
+            scratch := Some scr;
+            scr
+      in
+      apply_segment s scr sg
 
 (* Shard classification for telemetry: slab-local kernels touch no
-   amplitude outside their slab (diagonals qualify at any layout). *)
+   amplitude outside their slab (diagonal gates qualify at any layout;
+   a segment reads across the whole state). *)
 let kernel_local s = function
-  | K_sweep _ | K_diag _ -> true
-  | K_gate g -> is_diag g || gate_mask g land lnot s.smask = 0
-  | K_perm { bits; _ } | K_had { bits; _ } | K_dense { bits; _ } ->
-      bits_local s bits
-  | K_perm_full _ -> false
+  | K_segment _ -> false
+  | K_had bits -> bits.(Array.length bits - 1) < s.sb
+  | K_gate (Gate.Z _ | S _ | Sdg _ | T _ | Tdg _ | Rz _ | Cz _ | Ccz _ | Mcz _) -> true
+  | K_gate g -> gate_mask g land lnot s.smask = 0
+
+(** [scratch_fits p] says whether replaying [p] stays within the
+    {!Sv_shard.max_qubits} cap. A segment sweeps into a scratch slab set
+    as large as the state, so a plan with segments holds 2^(n+1)
+    amplitudes and fits only when [n + 1] does. *)
+let scratch_fits p =
+  p.n < max_qubits () || not (Array.exists (function K_segment _ -> true | _ -> false) p.ops)
 
 (** [execute p s] replays the schedule on [s] in place. On sharded
     states it also counts slab-local vs cross-slab kernels and the
     number of exchange rounds (maximal runs of consecutive cross-slab
-    kernels) into the [sv.shard.*] counters. *)
+    kernels) into the [sv.shard.*] counters.
+    @raise Unsupported when the segments' scratch would pass the cap
+    ({!scratch_fits}), before anything is allocated. *)
 let execute p s =
   if p.n <> num_qubits s then
     invalid_arg "Statevector.Plan.execute: qubit mismatch";
+  if not (scratch_fits p) then
+    raise
+      (Unsupported
+         (Printf.sprintf
+            "sv.alloc: replaying this %d-qubit plan needs a scratch copy of \
+             the state (2^%d amplitudes), past the statevector cap of %d \
+             qubits; raise DAUTOQ_SV_MAX_QUBITS or run it gate by gate"
+            p.n (p.n + 1) (max_qubits ())));
   let scratch = ref None in
   if not (sharded s) then Array.iter (exec_kernel s scratch) p.ops
   else begin
@@ -1461,34 +245,20 @@ type stats = {
   blocks : int;
   fused_gates : int;
   source_gates : int;
-  dense : int;
-  perm : int; (* narrow + full-width permutation blocks *)
-  diag : int;
-  had : int; (* fused Hadamard (Kronecker) blocks *)
-  sweeps : int; (* standalone + folded (build-folded sweeps vanish) *)
-  passthrough : int;
+  segments : int; (* phase-polynomial regions *)
+  had : int; (* H layers of two or more gates *)
+  passthrough : int; (* single gates *)
 }
 
 (** [stats p] summarizes the schedule (tests and CLIs read this). *)
 let stats (p : t) =
-  let dense = ref 0 and perm = ref 0 and diag = ref 0 in
-  let had = ref 0 and sweeps = ref 0 and passthrough = ref 0 in
+  let segments = ref 0 and had = ref 0 and passthrough = ref 0 in
   Array.iter
     (function
       | K_gate _ -> incr passthrough
-      | K_sweep _ -> incr sweeps
-      | K_diag _ -> incr diag
-      | K_perm { pre; _ } ->
-          incr perm;
-          if pre <> None then incr sweeps
-      | K_perm_full _ -> incr perm
-      | K_had { pre; _ } ->
-          incr had;
-          if pre <> None then incr sweeps
-      | K_dense { pre; _ } ->
-          incr dense;
-          if pre <> None then incr sweeps)
+      | K_had _ -> incr had
+      | K_segment _ -> incr segments)
     p.ops;
   { ops = Array.length p.ops; blocks = p.blocks; fused_gates = p.fused_gates;
-    source_gates = p.source_gates; dense = !dense; perm = !perm;
-    diag = !diag; had = !had; sweeps = !sweeps; passthrough = !passthrough }
+    source_gates = p.source_gates; segments = !segments; had = !had;
+    passthrough = !passthrough }

@@ -13,7 +13,7 @@
     - kernels whose touched qubits all sit below the slab bit run
       slab-by-slab over the domain pool with zero cross-slab traffic
       and zero locks;
-    - cross-slab passes (high-bit permutations and butterflies) stream
+    - cross-slab passes (high-bit Hadamards and permutations) stream
       whole slabs in lockstep with sequential slab-local writes.
 
     The slab size never changes results: every kernel performs the same
@@ -93,7 +93,7 @@ let slab_bits_for n =
   | Some s -> max 1 (min s n)
   | None -> auto_slab_bits n
 
-(* [sl_re]/[sl_im] are mutable so full-width permutation kernels can
+(* [sl_re]/[sl_im] are mutable so out-of-place segment sweeps can
    ping-pong into a scratch slab set and swap, instead of copying back.
    Nothing outside the statevector modules holds an alias to the arrays
    across a run. *)
@@ -141,14 +141,6 @@ let reset s =
   Array.iter (fun a -> Array.fill a 0 (Array.length a) 0.) s.sl_re;
   Array.iter (fun a -> Array.fill a 0 (Array.length a) 0.) s.sl_im;
   s.sl_re.(0).(0) <- 1.
-
-(* All-zero flat scratch state (single slab regardless of the override):
-   the plan builder simulates tiny basis columns on these. *)
-let make_flat n =
-  let size = 1 lsl n in
-  { n; sb = n; smask = size - 1;
-    sl_re = [| Array.make size 0. |];
-    sl_im = [| Array.make size 0. |] }
 
 let num_qubits s = s.n
 let size s = 1 lsl s.n

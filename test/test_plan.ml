@@ -1,5 +1,6 @@
 (* Statevector kernel-plan layer: replay equivalence against the unfused
-   reference, block classification, deterministic parallel reductions,
+   reference (global phase included), the schedule's shape (segments, H
+   layers, pass-through gates), deterministic parallel reductions,
    jobs-invariance, and the plan/sampler reuse counters. *)
 
 open Qc
@@ -32,8 +33,8 @@ let seeded_circuit_gen mk =
     (fun seed -> mk (Helpers.rng seed))
     QCheck2.Gen.(int_bound 1_000_000)
 
-(* H layer then only diagonal gates: exercises sweeps, K_diag and
-   build-time sweep folding into full-width blocks. *)
+(* H layer then only diagonal gates: one long region of phase terms,
+   Rz angles among them. *)
 let diag_heavy st n len =
   let gates = ref [] in
   for _ = 1 to len do
@@ -54,8 +55,8 @@ let diag_heavy st n len =
   done;
   Circuit.of_gates n (List.init n (fun q -> Gate.H q) @ List.rev !gates)
 
-(* H on a couple of qubits then classical gates only: exercises K_perm /
-   K_perm_full scatter kernels including the unit-phase move-only path. *)
+(* H on a couple of qubits then classical gates only: affine regions
+   (exact, unit phases) broken by pass-through Toffolis. *)
 let perm_heavy st n len =
   let gates = ref [] in
   for _ = 1 to len do
@@ -84,8 +85,8 @@ let prop_perm_heavy =
     (seeded_circuit_gen (fun st -> perm_heavy st 5 60))
     plan_equiv
 
-(* Mixed H/T/CNOT on overlapping supports: forms genuinely dense 2-3q
-   blocks alongside Hadamard and monomial ones. *)
+(* Mixed H/T/CNOT on overlapping supports: short regions between H
+   layers. *)
 let prop_general_dense =
   Helpers.prop "plan = unfused on general Clifford+T circuits" ~count:50
     QCheck2.Gen.(
@@ -103,6 +104,65 @@ let prop_random_clifford_t =
       Helpers.qcircuit_gen ~diagonals:(seed mod 2 = 0) 4 40)
     plan_equiv
 
+(* Random 1-8 qubit circuits over every gate a region folds, H (a
+   region break) and Toffoli (a pass-through): plan = unfused amplitude
+   for amplitude, so the global phases of Y, Rz and negated parities and
+   the Rz angles must all reach the segments. *)
+let any_gate_circuit st =
+  let n = 1 + Random.State.int st 8 in
+  let q () = Random.State.int st n in
+  let other a = (a + 1 + Random.State.int st (n - 1)) mod n in
+  let gate () =
+    let a = q () in
+    match Random.State.int st 12 with
+    | 0 -> Gate.X a
+    | 1 -> Gate.Y a
+    | 2 -> Gate.Z a
+    | 3 -> Gate.S a
+    | 4 -> Gate.T a
+    | 5 -> Gate.Rz (Random.State.float st 6.28 -. 3.14, a)
+    | 6 -> Gate.H a
+    | _ when n = 1 -> Gate.Tdg a
+    | 7 -> Gate.Cnot (a, other a)
+    | 8 -> Gate.Cz (a, other a)
+    | 9 -> Gate.Swap (a, other a)
+    | 10 when n >= 3 ->
+        let b = other a in
+        let c = ref (other a) in
+        while !c = b do
+          c := other a
+        done;
+        Gate.Ccx (a, b, !c)
+    | _ -> Gate.Sdg a
+  in
+  Circuit.of_gates n (List.init (1 + Random.State.int st 80) (fun _ -> gate ()))
+
+let prop_any_gate =
+  Helpers.prop "plan = unfused on any-gate circuits" ~count:300
+    (seeded_circuit_gen any_gate_circuit)
+    plan_equiv
+
+let test_long_region () =
+  (* H-free runs past the 62-term word: the region must split, and the
+     multi-byte tables (exact T terms, then Rz angles) must agree *)
+  let rng = Helpers.rng 77 in
+  let n = 8 in
+  let run phase =
+    Circuit.of_gates n
+      (List.init n (fun q -> Gate.H q)
+      @ List.init 300 (fun _ ->
+            let a = Random.State.int rng n in
+            if Random.State.bool rng then
+              Gate.Cnot (a, (a + 1 + Random.State.int rng (n - 1)) mod n)
+            else phase a))
+  in
+  List.iter
+    (fun (name, c) ->
+      let st = Statevector.Plan.stats (Statevector.Plan.build c) in
+      Alcotest.(check bool) (name ^ ": region split") true (st.Statevector.Plan.segments >= 2);
+      Alcotest.(check bool) (name ^ ": plan = unfused") true (plan_equiv c))
+    [ ("T", run (fun a -> Gate.T a)); ("Rz", run (fun a -> Gate.Rz (0.1 +. float_of_int a, a))) ]
+
 let test_rz_swap_mcz () =
   (* gates the random generators never emit together: Rz runs, Swap
      barriers, Mcz *)
@@ -113,7 +173,13 @@ let test_rz_swap_mcz () =
         Gate.Mcz [ 0; 1; 2; 3 ]; Gate.Ccz (0, 1, 3); Gate.Rz (0.7, 3);
         Gate.T 1; Gate.Sdg 2 ]
   in
-  Alcotest.(check bool) "equivalent" true (plan_equiv c)
+  Alcotest.(check bool) "equivalent" true (plan_equiv c);
+  (* opposite Rz angles: the region's global phases cancel exactly, its
+     terms still carry angles *)
+  let c =
+    Circuit.of_gates 2 [ Gate.H 0; Gate.H 1; Gate.Rz (0.3, 0); Gate.Rz (-0.3, 1) ]
+  in
+  Alcotest.(check bool) "cancelling global phases" true (plan_equiv c)
 
 let test_exact_basis () =
   (* X-only runs plan to an exact permutation: amplitudes stay 0/1 *)
@@ -123,48 +189,55 @@ let test_exact_basis () =
 
 (* --- classification: stats match the circuit's structure --- *)
 
+let stats c = Statevector.Plan.stats (Statevector.Plan.build c)
+
 let test_stats_diag () =
-  let c = diag_heavy (Helpers.rng 3) 4 40 in
-  let st = Statevector.Plan.stats (Statevector.Plan.build c) in
-  Alcotest.(check bool) "diagonal work planned" true
-    (st.Statevector.Plan.diag + st.Statevector.Plan.sweeps
-     + st.Statevector.Plan.perm
-     > 0);
-  Alcotest.(check int) "no dense blocks" 0 st.Statevector.Plan.dense;
-  Alcotest.(check bool) "H layer fused" true (st.Statevector.Plan.had >= 1)
+  (* the H layer, then the whole diagonal run as one region *)
+  let st = stats (diag_heavy (Helpers.rng 3) 4 40) in
+  Alcotest.(check int) "one segment" 1 st.Statevector.Plan.segments;
+  Alcotest.(check int) "H layer fused" 1 st.Statevector.Plan.had;
+  Alcotest.(check int) "nothing else" 2 st.Statevector.Plan.ops
 
 let test_stats_perm () =
   let c =
     Circuit.of_gates 4
       [ Gate.X 0; Gate.Cnot (0, 1); Gate.Swap (1, 2); Gate.Ccx (0, 1, 3) ]
   in
-  let p = Statevector.Plan.build c in
-  let st = Statevector.Plan.stats p in
+  let st = stats c in
   Alcotest.(check int) "one block" 1 st.Statevector.Plan.blocks;
-  Alcotest.(check int) "classified as permutation" 1 st.Statevector.Plan.perm;
-  Alcotest.(check int) "no dense" 0 st.Statevector.Plan.dense;
-  (* cross-check at the matrix level: the block really is a permutation *)
+  Alcotest.(check int) "X/CNOT/SWAP fold into one segment" 1 st.Statevector.Plan.segments;
+  Alcotest.(check int) "Toffoli passes through" 1 st.Statevector.Plan.passthrough;
+  Alcotest.(check bool) "planned replay agrees" true (plan_equiv c);
+  (* cross-check at the matrix level: the circuit really is a permutation *)
   match Unitary.is_permutation (Unitary.of_circuit c) with
   | Some _ -> ()
   | None -> Alcotest.fail "circuit unitary is not a permutation"
 
 let test_stats_dense () =
-  (* H sandwiched between non-commuting gates on one support: dense block *)
+  (* H sandwiched between non-commuting gates on one support: the H's
+     split the schedule as T | H | T·CNOT·T | H (the peephole defers the
+     last H past T on qubit 1) *)
   let c =
     Circuit.of_gates 4
       [ Gate.T 0; Gate.H 0; Gate.T 0; Gate.Cnot (0, 1); Gate.H 0; Gate.T 1 ]
   in
-  let st = Statevector.Plan.stats (Statevector.Plan.build c) in
-  Alcotest.(check bool) "dense block formed" true (st.Statevector.Plan.dense >= 1)
+  let st = stats c in
+  Alcotest.(check int) "one segment" 1 st.Statevector.Plan.segments;
+  Alcotest.(check int) "single T and H's pass through" 3 st.Statevector.Plan.passthrough;
+  Alcotest.(check bool) "planned replay agrees" true (plan_equiv c)
 
 let test_diag_block_is_diagonal () =
-  (* matrix-level cross-check of the diagonal classification *)
+  (* matrix-level cross-check of a diagonal circuit: T/S/CZ fold into a
+     segment, CCZ passes through, the trailing T† is a single gate *)
   let c =
     Circuit.of_gates 3
       [ Gate.T 0; Gate.S 1; Gate.Cz (0, 1); Gate.Ccz (0, 1, 2); Gate.Tdg 2 ]
   in
   Alcotest.(check bool) "unitary is diagonal" true
     (Unitary.is_diagonal (Unitary.of_circuit c));
+  let st = stats c in
+  Alcotest.(check int) "one segment" 1 st.Statevector.Plan.segments;
+  Alcotest.(check int) "CCZ and T† pass through" 2 st.Statevector.Plan.passthrough;
   Alcotest.(check bool) "planned replay agrees" true (plan_equiv c)
 
 let test_identity_elimination () =
@@ -174,8 +247,7 @@ let test_identity_elimination () =
       [ Gate.X 0; Gate.Cnot (0, 1); Gate.Cnot (0, 1); Gate.X 0;
         Gate.Swap (2, 3); Gate.Swap (2, 3) ]
   in
-  let st = Statevector.Plan.stats (Statevector.Plan.build c) in
-  Alcotest.(check int) "identity block dropped" 0 st.Statevector.Plan.ops;
+  Alcotest.(check int) "identity region dropped" 0 (stats c).Statevector.Plan.ops;
   Alcotest.(check bool) "still correct" true (plan_equiv c)
 
 (* --- jobs-invariance: bit-identical amplitudes and reductions --- *)
@@ -288,7 +360,8 @@ let () =
   Alcotest.run "plan"
     [ ( "replay-equivalence",
         [ prop_diag_heavy; prop_perm_heavy; prop_general_dense;
-          prop_random_clifford_t;
+          prop_random_clifford_t; prop_any_gate;
+          Alcotest.test_case "regions past the term word" `Quick test_long_region;
           Alcotest.test_case "rz/swap/mcz circuit" `Quick test_rz_swap_mcz;
           Alcotest.test_case "exact basis preserved" `Quick test_exact_basis ] );
       ( "classification",

@@ -109,9 +109,9 @@ let prop_shard_general =
 
 (* 15 qubits puts the state (2^15) above par_threshold (2^14), so the
    parallel kernels, cross-slab passes and chunked reductions engage.
-   The trailing H block touches only qubits 0-5: it fuses into its own
-   butterfly kernel whose bits sit below every shard-bits setting used
-   here, keeping at least one slab-local kernel in the schedule. *)
+   The trailing H layer touches only qubits 0-5: its bits sit below
+   every shard-bits setting used here, keeping at least one slab-local
+   kernel in the schedule. *)
 let wide_circuit =
   lazy
     (Circuit.of_gates 15
@@ -218,15 +218,15 @@ let prop_peephole_unitary =
 
 let test_peephole_widens_runs () =
   (* H layers interleaved with disjoint CNOTs: the peephole defers the
-     H's so the classical gates fuse into one monomial block *)
+     H's so the classical gates fold into one segment *)
   let c =
     Circuit.of_gates 4
       [ Gate.X 0; Gate.H 2; Gate.Cnot (0, 1); Gate.H 3; Gate.Cnot (1, 0) ]
   in
   let st = Statevector.Plan.stats (Statevector.Plan.build c) in
-  Alcotest.(check int) "one monomial block" 1 st.Statevector.Plan.perm;
+  Alcotest.(check int) "one segment" 1 st.Statevector.Plan.segments;
   Alcotest.(check int) "one fused H block" 1 st.Statevector.Plan.had;
-  Alcotest.(check int) "no dense blocks" 0 st.Statevector.Plan.dense;
+  Alcotest.(check int) "nothing passes through" 0 st.Statevector.Plan.passthrough;
   Alcotest.(check bool) "replay agrees with unfused" true
     (same_amplitudes (run_planned c) (Statevector.run ~fuse:false c))
 
@@ -247,6 +247,42 @@ let test_alloc_guard () =
           Alcotest.(check bool) "suggests the stabilizer backend" true
             (Helpers.contains ~needle:"stabilizer" msg)
       | _ -> Alcotest.fail "over-cap allocation accepted")
+
+(* A segment's scratch slab set is as large as the state, so a planned
+   run at the cap would hold twice the capped memory: Plan.execute
+   refuses it before allocating, and Statevector.run replays gate by
+   gate in place instead (bit for bit the [~fuse:false] path). *)
+let test_plan_scratch_cap () =
+  let layered n =
+    Circuit.of_gates n
+      (List.init n (fun q -> Gate.H q)
+      @ List.init n (fun q -> Gate.T q)
+      @ List.init (n - 1) (fun q -> Gate.Cnot (q, q + 1))
+      @ List.init n (fun q -> Gate.H q))
+  in
+  Unix.putenv "DAUTOQ_SV_MAX_QUBITS" "11";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "DAUTOQ_SV_MAX_QUBITS" "")
+    (fun () ->
+      let c = layered 11 in
+      let p = Statevector.Plan.build c in
+      Alcotest.(check bool) "the plan has a segment" true
+        ((Statevector.Plan.stats p).Statevector.Plan.segments > 0);
+      Alcotest.(check bool) "scratch does not fit at the cap" false
+        (Statevector.Plan.scratch_fits p);
+      (match Statevector.Plan.execute p (Statevector.init 11) with
+      | exception Statevector.Unsupported msg ->
+          Alcotest.(check bool) "token-named message" true
+            (Helpers.contains ~needle:"sv.alloc:" msg)
+      | () -> Alcotest.fail "over-cap scratch allocated");
+      let s = Statevector.run c and r = Statevector.run ~fuse:false c in
+      Alcotest.(check bool) "run falls back to the gate-by-gate path" true
+        (List.for_all
+           (fun x -> Statevector.amplitude s x = Statevector.amplitude r x)
+           (List.init (Statevector.size s) Fun.id));
+      let below = Statevector.Plan.build (layered 10) in
+      Alcotest.(check bool) "one qubit under the cap fits" true
+        (Statevector.Plan.scratch_fits below))
 
 (* --- LRU plan cache --- *)
 
@@ -310,4 +346,6 @@ let () =
             test_peephole_widens_runs ] );
       ( "guards",
         [ Alcotest.test_case "allocation cap" `Quick test_alloc_guard;
+          Alcotest.test_case "plan scratch counts against the cap" `Quick
+            test_plan_scratch_cap;
           Alcotest.test_case "LRU plan cache" `Quick test_lru_eviction ] ) ]
